@@ -112,9 +112,10 @@ class BiasedDistribution:
         object.__setattr__(self, "probs", arr)
 
     def validate(self, tol: float = 1e-9) -> None:
-        if self.probs.min() < -tol:
-            raise DomainError("setting-pair probabilities must be nonnegative")
-        if abs(self.probs.sum() - 1.0) > tol:
+        # `not (x >= bound)` rather than `x < bound`: NaN must fail the test.
+        if not self.probs.min() >= -tol:
+            raise DomainError("setting-pair probabilities must be nonnegative numbers")
+        if not abs(self.probs.sum() - 1.0) <= tol:
             raise DomainError("setting-pair probabilities must sum to 1")
 
     @property

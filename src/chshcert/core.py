@@ -95,19 +95,24 @@ class Box:
         return float(max(m.max(), n.max()))
 
     def check(self, tol: float = DEFAULT_TOL) -> list[str]:
-        """Return a list of violated invariants (empty when valid)."""
+        """Return a list of violated invariants (empty when valid).
+
+        Every test is written as ``not (x >= bound)`` or ``not (x <= bound)``:
+        NaN compares False with everything, so it fails the test instead of
+        passing it, and an infinite entry fails normalization."""
         failures = []
-        if self.p.min() < -tol:
-            failures.append(f"box has negative entry {self.p.min():.3g}")
+        lo = self.p.min()
+        if not lo >= -tol:
+            failures.append(f"box has negative or NaN entry {lo:.3g}")
         norms = self.p.sum(axis=(0, 1))
-        if np.abs(norms - 1.0).max() > tol:
+        if not np.abs(norms - 1.0).max() <= tol:
             failures.append("box columns not normalized")
         # Alice's marginal must not depend on Bob's setting and vice versa.
         pa = self.p.sum(axis=1)  # [a, j, k]
         pb = self.p.sum(axis=0)  # [b, j, k]
-        if np.abs(pa[:, :, 0] - pa[:, :, 1]).max() > tol:
+        if not np.abs(pa[:, :, 0] - pa[:, :, 1]).max() <= tol:
             failures.append("box signals from Bob to Alice")
-        if np.abs(pb[:, 0, :] - pb[:, 1, :]).max() > tol:
+        if not np.abs(pb[:, 0, :] - pb[:, 1, :]).max() <= tol:
             failures.append("box signals from Alice to Bob")
         return failures
 
@@ -182,10 +187,11 @@ class SettingsDistribution:
         return [float(x) for x in self.q.ravel()]
 
     def check(self, tol: float = DEFAULT_TOL) -> list[str]:
-        failures = []
-        if self.q.min() < -tol:
-            failures.append(f"settings distribution has negative entry {self.q.min():.3g}")
-        if abs(self.q.sum() - 1.0) > tol:
+        failures = []  # NaN-safe comparisons, as in Box.check
+        lo = self.q.min()
+        if not lo >= -tol:
+            failures.append(f"settings distribution has negative or NaN entry {lo:.3g}")
+        if not abs(self.q.sum() - 1.0) <= tol:
             failures.append("settings distribution not normalized")
         return failures
 
@@ -223,17 +229,17 @@ class HiddenVariableModel:
         return out
 
     def check(self, tol: float = DEFAULT_TOL) -> list[str]:
-        failures = []
+        failures = []  # NaN-safe comparisons, as in Box.check
         w = self.weights
-        if w.min() < -tol:
-            failures.append("negative component weight")
-        if abs(w.sum() - 1.0) > tol:
+        if not w.min() >= -tol:
+            failures.append("negative or NaN component weight")
+        if not abs(w.sum() - 1.0) <= tol:
             failures.append(f"component weights sum to {w.sum():.12g}, not 1")
         for i, (_, s, b) in enumerate(self.components):
             failures.extend(f"component {i}: {msg}" for msg in s.check(tol))
             failures.extend(f"component {i}: {msg}" for msg in b.check(tol))
         obs = self.observed_input_distribution()
-        if np.abs(obs - 0.25).max() > tol:
+        if not np.abs(obs - 0.25).max() <= tol:
             failures.append("observed input distribution is not uniform")
         return failures
 

@@ -23,6 +23,7 @@ constraint linear.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -314,9 +315,29 @@ def _fac_repair(u: float, v: float, P: float) -> tuple[float, float]:
 _SLACK_PENALTY = 1000.0
 
 
+@functools.lru_cache(maxsize=None)
+def _fac_lp_shape(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inner LP's parts that do not depend on the settings, over the
+    variables (rho, t, slack+ (4), slack- (4)): the objective without its
+    t entries, the equality rows without their q block, and the rows
+    t - rho <= 0.  Read-only; callers copy what they fill in."""
+    nvar = 2 * L + 8
+    obj = np.zeros(nvar)
+    obj[2 * L:] = -_SLACK_PENALTY
+    A_eq = np.zeros((6, nvar))
+    A_eq[:4, 2 * L:2 * L + 4] = np.eye(4)
+    A_eq[:4, 2 * L + 4:] = -np.eye(4)
+    A_eq[4, :L] = 1.0
+    A_eq[5, L:2 * L] = 1.0
+    A_ub = np.hstack([-np.eye(L), np.eye(L), np.zeros((L, 8))])
+    for arr in (obj, A_eq, A_ub):
+        arr.flags.writeable = False
+    return obj, A_eq, A_ub
+
+
 def _fac_inner_lp(
-    q: np.ndarray, G: float
-) -> tuple[float, np.ndarray, np.ndarray, float]:
+    q: np.ndarray, G: float, basis: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
     """Exact maximum of S over weights and per-component guessing values for
     fixed factorizable settings.
 
@@ -326,49 +347,43 @@ def _fac_inner_lp(
     equalities carry heavily penalized elastic slacks so the program stays
     solvable for settings that cannot mix to uniform; the outer search then
     sees a slope toward the feasible region.  Returns (value, rho, g,
-    total slack); a candidate is genuinely feasible only when the slack
-    vanishes.
+    total slack, final basis); a candidate is genuinely feasible only when
+    the slack vanishes.  ``basis`` is the simplex's warm-start hint, usually
+    the final basis of the previous, nearby call.
     """
     L = q.shape[0]
-    cmin = q.min(axis=1)
-    nvar = 2 * L + 8  # rho, t, slack+ (4), slack- (4)
-    obj = np.concatenate([
-        np.zeros(L), -8.0 * cmin, np.full(8, -_SLACK_PENALTY),
-    ])
-    A_eq = np.zeros((6, nvar))
+    obj_shape, A_eq_shape, A_ub = _fac_lp_shape(L)
+    obj = obj_shape.copy()
+    obj[L:2 * L] = -8.0 * q.min(axis=1)
+    A_eq = A_eq_shape.copy()
     A_eq[:4, :L] = q.T
-    A_eq[:4, 2 * L:2 * L + 4] = np.eye(4)
-    A_eq[:4, 2 * L + 4:] = -np.eye(4)
-    A_eq[4, :L] = 1.0
-    A_eq[5, L:2 * L] = 1.0
-    b_eq = np.concatenate([np.full(4, 0.25), [1.0, 2.0 * G - 1.0]])
-    A_ub = np.zeros((L, nvar))
-    A_ub[:, :L] = -np.eye(L)
-    A_ub[:, L:2 * L] = np.eye(L)
-    b_ub = np.zeros(L)
-    res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=True)
+    b_eq = np.array([0.25, 0.25, 0.25, 0.25, 1.0, 2.0 * G - 1.0])
+    res = solve_lp(obj, A_ub=A_ub, b_ub=np.zeros(L), A_eq=A_eq, b_eq=b_eq,
+                   maximize=True, basis=basis)
     rho, t = res.x[:L], res.x[L:2 * L]
     slack = float(res.x[2 * L:].sum())
     g = np.where(rho > 0.0, 0.5 + t / np.maximum(2.0 * rho, 1e-300), 0.5)
-    return 4.0 + res.fun, rho, np.clip(g, 0.5, 1.0), slack
+    return 4.0 + res.fun, rho, np.clip(g, 0.5, 1.0), slack, res.basis
 
 
 def _fac_candidate(
-    x: np.ndarray, L: int, G: float, P: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, L: int, G: float, P: float, basis: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(value, rho, q, g, basis) of the settings x; the basis is the inner
+    LP's final one, or the hint passed in when that LP failed."""
     q = np.empty((L, 4))
     for lam in range(L):
         u, v = _fac_repair(float(x[lam]), float(x[L + lam]), P)
         q[lam] = (u * v, u * (1.0 - v), (1.0 - u) * v, (1.0 - u) * (1.0 - v))
     try:
-        val, rho, g, slack = _fac_inner_lp(q, G)
+        val, rho, g, slack, basis = _fac_inner_lp(q, G, basis)
     except (InfeasibleError, UnboundedError):
         # Unboundedness can only be a numerical breakdown on a degenerate
         # tableau; treat the candidate as infeasible either way.
-        return -np.inf, np.zeros(L), q, np.full(L, 0.5)
+        return -np.inf, np.zeros(L), q, np.full(L, 0.5), basis
     if slack > FEASIBILITY_TOL:
-        return val, np.zeros(L), q, g  # penalized value only; not a model
-    return val, rho, q, g
+        return val, np.zeros(L), q, g, basis  # penalized value only; not a model
+    return val, rho, q, g, basis
 
 
 def maximize_S_fac(
@@ -393,14 +408,21 @@ def maximize_S_fac(
     if restarts < 1:
         raise DomainError("at least one restart is required")
     L = components
+    # Consecutive Powell evaluations differ in one coordinate, so the last
+    # inner LP's optimal basis usually solves the next one without a pivot.
+    # The hint lives in this call only and restarts from cold with each
+    # restart, which keeps restarts independent of one another.
+    hint = None
 
     def neg(x):
-        val = _fac_candidate(x, L, G, P)[0]
+        nonlocal hint
+        val, _, _, _, hint = _fac_candidate(x, L, G, P, hint)
         return 1e6 if not np.isfinite(val) else -val
 
     best = None
     box_bounds = [(0.0, 1.0)] * (2 * L)
     for i in range(restarts):
+        hint = None
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,)))
         )
@@ -414,7 +436,7 @@ def maximize_S_fac(
             neg, x0, method="Powell", bounds=box_bounds,
             options={"maxfev": maxfev, "xtol": 1e-8, "ftol": 1e-12},
         )
-        cand_val, rho, q, g = _fac_candidate(res.x, L, G, P)
+        cand_val, rho, q, g, _ = _fac_candidate(res.x, L, G, P, hint)
         if not np.isfinite(cand_val):
             continue
         pos = q.argmin(axis=1)

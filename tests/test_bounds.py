@@ -184,3 +184,12 @@ def test_biased_distribution_validation():
         BiasedDistribution(np.array([0.5, 0.6, -0.05, -0.05])).validate()
     with pytest.raises(DomainError):
         BiasedDistribution(np.array([0.5, 0.4, 0.2, 0.2])).validate()
+
+
+def test_non_finite_distribution_rejected():
+    with pytest.raises(DomainError):
+        BiasedDistribution(np.full(4, np.nan)).validate()
+    with pytest.raises(DomainError):
+        s_q_max_dist(BiasedDistribution([float("nan")] * 4))
+    with pytest.raises(DomainError):
+        BiasedDistribution(np.array([np.inf, 0.25, 0.25, 0.25])).validate()

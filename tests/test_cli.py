@@ -124,6 +124,18 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert doc["soundness_violation"] is False
 
+    def test_fac_points_do_not_depend_on_threads(self, tmp_path):
+        docs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"fac{threads}.json"
+            assert _run([
+                "verify", "--target", "fac", "--g-steps", "2", "--p-steps", "1",
+                "--p-min", "0.3", "--p-max", "0.3", "--restarts", "3",
+                "--threads", threads, "--out", str(out),
+            ]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0]["points"] == docs[1]["points"]
+
     def test_quantum_target_small(self, tmp_path):
         out = tmp_path / "verify.json"
         assert _run([

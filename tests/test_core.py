@@ -197,3 +197,35 @@ class TestSerialization:
 def test_chsh_of_box_rejects_invalid_boxes():
     with pytest.raises(ValidationError):
         chsh_of_box(Box(np.full((2, 2, 2, 2), 0.3)))
+
+
+class TestNonFiniteInput:
+    """NaN compares False with every tolerance, so a range check written the
+    obvious way lets it through."""
+
+    def test_all_nan_box_is_invalid(self):
+        box = Box(np.full((2, 2, 2, 2), np.nan))
+        assert box.check()
+        report = core.validate(HiddenVariableModel(((1.0, uniform_settings(), box),)))
+        assert report.valid is False
+
+    def test_infinite_box_entry_is_flagged(self):
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[0, 0, 1, 1] = np.inf
+        assert Box(p).check()
+
+    def test_nan_settings_are_invalid(self):
+        settings = SettingsDistribution(np.full((2, 2), np.nan))
+        assert settings.check()
+        with pytest.raises(ValidationError):
+            settings.validate()
+        model = HiddenVariableModel(((1.0, settings, uniform_box()),))
+        assert core.validate(model).valid is False
+
+    def test_nan_weight_is_invalid(self):
+        model = HiddenVariableModel((
+            (0.5, uniform_settings(), uniform_box()),
+            (float("nan"), uniform_settings(), uniform_box()),
+        ))
+        assert any("NaN component weight" in msg for msg in model.check())
+        assert core.validate(model).valid is False

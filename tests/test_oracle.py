@@ -6,6 +6,7 @@ import pytest
 
 from chshcert import oracle
 from chshcert.bounds import DomainError, s_max_fac, s_max_ns
+from chshcert.simplex import solve_lp
 from chshcert.oracle import (
     deterministic_strategies,
     lp_deterministic_max_S,
@@ -79,6 +80,24 @@ class TestFactorizableOracle:
         # A factorizable adversary can never beat the general bound either.
         val = maximize_S_fac(0.8, 0.3, restarts=5, seed=0)
         assert val <= s_max_ns(0.8, 0.3)[0] + 1e-6
+
+    def test_deterministic_given_seed(self):
+        a = maximize_S_fac(0.8, 0.29, restarts=4, seed=5)
+        b = maximize_S_fac(0.8, 0.29, restarts=4, seed=5)
+        assert a == b
+
+    def test_inner_lps_start_from_the_last_basis(self, monkeypatch):
+        results = []
+
+        def recording(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(oracle, "solve_lp", recording)
+        maximize_S_fac(0.8, 0.3, restarts=2, seed=0)
+        zero_pivot = sum(res.warm and res.pivots == 0 for res in results)
+        assert zero_pivot >= 0.5 * len(results)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
