@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -119,8 +117,6 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_verify(args) -> int:
-    points: list[dict] = []
-
     if args.target == "lp":
         def work(P):
             closed, _ = bounds.s_max_ns(1.0, P)
@@ -161,12 +157,7 @@ def cmd_verify(args) -> int:
         print(f"error: unknown verification target {args.target!r}", file=sys.stderr)
         return 1
 
-    threads = args.threads or os.cpu_count() or 1
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(work, tasks))
-    else:
-        points = [work(t) for t in tasks]
+    points = [work(t) for t in tasks]
 
     max_gap = max(pt["gap"] for pt in points)
     violated = max_gap > SOUNDNESS_TOL
@@ -241,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random settings distributions (quantum target)")
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: machine parallelism)")
+    p.add_argument("--threads", type=int, choices=[1], default=1,
+                   help="campaign points run one after another on one thread; "
+                        "only 1 is accepted")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

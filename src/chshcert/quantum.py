@@ -35,7 +35,7 @@ class Observable:
 
     def __post_init__(self):
         arr = np.asarray(self.bloch, dtype=float).reshape(3)
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
+        if not (abs(np.linalg.norm(arr) - 1.0) <= 1e-12):
             raise DomainError("Bloch vector must have unit norm")
         arr.flags.writeable = False
         object.__setattr__(self, "bloch", arr)
@@ -61,7 +61,7 @@ class TwoQubitState:
 
     def __post_init__(self):
         arr = np.asarray(self.amplitudes, dtype=complex).reshape(4)
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
+        if not (abs(np.linalg.norm(arr) - 1.0) <= 1e-12):
             raise DomainError("state amplitudes must have unit norm")
         # Global phase: first amplitude above numerical noise made real positive.
         for a in arr:

@@ -232,7 +232,16 @@ def counts_from_csv(text: str) -> TrialCounts:
     if not lines or lines[0].strip() != "a,b,j,k,count":
         raise ValueError("expected header 'a,b,j,k,count'")
     arr = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    seen = set()
     for ln in lines[1:]:
         a, b, j, k, cnt = (int(tok) for tok in ln.split(","))
-        arr[a, b, j, k] = cnt
+        cell = (a, b, j, k)
+        if not set(cell) <= {0, 1}:
+            raise ValueError(f"row {ln!r}: a, b, j, k must each be 0 or 1")
+        if cell in seen:
+            raise ValueError(f"row {ln!r}: duplicate cell {cell}")
+        seen.add(cell)
+        arr[cell] = cnt
+    if len(seen) != 16:
+        raise ValueError(f"expected all 16 (a, b, j, k) cells, got {len(seen)}")
     return TrialCounts(n=int(arr.sum()), counts=arr)

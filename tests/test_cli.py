@@ -2,10 +2,12 @@
 
 import json
 import math
+import threading
 
+import numpy as np
 import pytest
 
-from chshcert import cli
+from chshcert import cli, oracle
 
 
 def _run(args):
@@ -124,17 +126,45 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert doc["soundness_violation"] is False
 
-    def test_fac_points_do_not_depend_on_threads(self, tmp_path):
+    def test_points_run_in_grid_order_on_the_calling_thread(self, tmp_path,
+                                                             monkeypatch):
+        caller, threads_before = threading.get_ident(), threading.active_count()
+        calls = []
+
+        def stub(G, P, restarts, seed):
+            calls.append((threading.get_ident(), threading.active_count(), G, P))
+            return 0.0
+
+        monkeypatch.setattr(oracle, "maximize_S_fac", stub)
+        out = tmp_path / "fac.json"
+        assert _run([
+            "verify", "--target", "fac", "--g-steps", "2", "--p-steps", "3",
+            "--out", str(out),
+        ]) == 0
+        grid = [(G, float(P)) for G in (0.5, 1.0)
+                for P in np.linspace(0.25, 1.0 / 3.0, 3)]
+        assert [call[2:] for call in calls] == grid
+        assert {call[:2] for call in calls} == {(caller, threads_before)}
+        doc = json.loads(out.read_text())
+        assert [(pt["G"], pt["P"]) for pt in doc["points"]] == grid
+
+    def test_same_seed_writes_identical_points(self, tmp_path):
         docs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"fac{threads}.json"
+        for extra in ([], ["--threads", "1"]):
+            out = tmp_path / f"fac{len(docs)}.json"
             assert _run([
                 "verify", "--target", "fac", "--g-steps", "2", "--p-steps", "1",
                 "--p-min", "0.3", "--p-max", "0.3", "--restarts", "3",
-                "--threads", threads, "--out", str(out),
+                "--seed", "4", "--out", str(out), *extra,
             ]) == 0
             docs.append(json.loads(out.read_text()))
         assert docs[0]["points"] == docs[1]["points"]
+
+    def test_more_than_one_thread_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["verify", "--target", "lp", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_quantum_target_small(self, tmp_path):
         out = tmp_path / "verify.json"

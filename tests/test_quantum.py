@@ -31,8 +31,9 @@ SQRT2 = math.sqrt(2.0)
 
 class TestPrimitives:
     def test_observable_requires_unit_norm(self):
-        with pytest.raises(DomainError):
-            Observable(np.array([1.0, 1.0, 0.0]))
+        for bloch in ([1.0, 1.0, 0.0], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                Observable(np.array(bloch))
 
     def test_from_vector_normalizes(self):
         obs = Observable.from_vector([3.0, 0.0, 4.0])
@@ -50,6 +51,8 @@ class TestPrimitives:
     def test_state_requires_unit_norm(self):
         with pytest.raises(DomainError):
             TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            TwoQubitState(np.array([math.nan, 0.0, 0.0, 0.0]))
 
     def test_state_fixes_global_phase(self):
         amps = np.exp(1.0j * 0.7) * np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2

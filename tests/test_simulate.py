@@ -164,3 +164,15 @@ class TestCsv:
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             counts_from_csv("x,y\n1,2\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows + ["0,0,0,0,7"],
+        lambda rows: rows[:-1],
+        lambda rows: rows[:-1] + ["1,1,1,2,5"],
+        lambda rows: rows[:-1] + ["1,1,1,-1,5"],
+    ], ids=["duplicate", "missing", "out-of-range", "negative-index"])
+    def test_requires_the_16_distinct_cells(self, edit):
+        counts = run_trials(build_general_model(0.9, 0.27), 1_000, seed=9)
+        header, *rows = counts_to_csv(counts).splitlines()
+        with pytest.raises(ValueError):
+            counts_from_csv("\n".join([header, *edit(rows)]) + "\n")
