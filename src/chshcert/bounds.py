@@ -24,12 +24,14 @@ class DomainError(ValueError):
     """An argument lies outside the validity range of the requested bound."""
 
 
-def _check_G(G: float) -> None:
+def check_G(G: float) -> None:
+    """Raise DomainError unless the guessing probability G lies in [1/2, 1]."""
     if not 0.5 <= G <= 1.0:
         raise DomainError(f"guessing probability must lie in [1/2, 1], got {G}")
 
 
-def _check_P(P: float) -> None:
+def check_P(P: float) -> None:
+    """Raise DomainError unless the free-will parameter P lies in [1/4, 1]."""
     if not 0.25 <= P <= 1.0:
         raise DomainError(f"free-will parameter must lie in [1/4, 1], got {P}")
 
@@ -37,8 +39,8 @@ def _check_P(P: float) -> None:
 def s_max_ns(G: float, P: float) -> tuple[float, str]:
     """Maximal CHSH value of any no-signalling model with guessing probability
     G and free-will parameter P: 4 - 8(2G-1)(1-3P) for P <= 1/3, else 4."""
-    _check_G(G)
-    _check_P(P)
+    check_G(G)
+    check_P(P)
     if P <= 1.0 / 3.0:
         return 4.0 - 8.0 * (2.0 * G - 1.0) * (1.0 - 3.0 * P), BRANCH_CLOSED_FORM
     return 4.0, BRANCH_SATURATED
@@ -49,7 +51,7 @@ def g_bound_ns(S: float, P: float) -> float:
     and free-will parameter P < 1/3 (no-signalling adversary)."""
     if not 0.0 <= S <= 4.0:
         raise DomainError(f"CHSH value must lie in [0, 4], got {S}")
-    _check_P(P)
+    check_P(P)
     if P >= 1.0 / 3.0:
         raise DomainError(
             "guessing-probability bound is trivial for P >= 1/3: a deterministic "
@@ -62,8 +64,8 @@ def g_bound_ns(S: float, P: float) -> float:
 def s_max_fac(G: float, P: float) -> tuple[float, str]:
     """Maximal CHSH value when every settings distribution factorizes:
     4 - 4(2G-1)(1-2P) for P <= 1/2, else 4."""
-    _check_G(G)
-    _check_P(P)
+    check_G(G)
+    check_P(P)
     if P <= 0.5:
         return 4.0 - 4.0 * (2.0 * G - 1.0) * (1.0 - 2.0 * P), BRANCH_CLOSED_FORM
     return 4.0, BRANCH_SATURATED
@@ -73,7 +75,7 @@ def g_bound_fac(S: float, P: float) -> float:
     """Factorizable-adversary analogue of :func:`g_bound_ns`; valid for P < 1/2."""
     if not 0.0 <= S <= 4.0:
         raise DomainError(f"CHSH value must lie in [0, 4], got {S}")
-    _check_P(P)
+    check_P(P)
     if P >= 0.5:
         raise DomainError(
             "guessing-probability bound is trivial for P >= 1/2 in the "
@@ -91,7 +93,7 @@ def s_max_quantum(P: float) -> tuple[float, str]:
     worth 4(1-2P)^(3/2)/sqrt(1-3P); for 3/10 <= P <= 1/3 a deterministic
     strategy worth 24P - 4 dominates; for P >= 1/3 the value saturates at 4.
     """
-    _check_P(P)
+    check_P(P)
     if P < 0.3:
         val = 4.0 * (1.0 - 2.0 * P) ** 1.5 / math.sqrt(1.0 - 3.0 * P)
         return val, BRANCH_QUANTUM
@@ -181,7 +183,7 @@ def s_max_quantum_fac(P: float) -> float:
 def min_entropy_bound(G: float, n: int) -> float:
     """Certified min-entropy, in bits, of n independent runs with per-run
     guessing probability G: -n*log2(G)."""
-    _check_G(G)
+    check_G(G)
     if n < 1:
         raise DomainError(f"number of runs must be >= 1, got {n}")
     return -n * math.log2(G)

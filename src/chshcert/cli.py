@@ -3,7 +3,9 @@ oracle verification campaigns.
 
 Exit codes: 0 on success, 1 on domain or validation errors, 2 when a
 verification run finds a value above its closed-form bound (soundness
-violation).
+violation), 3 when an exact oracle (``--target lp`` or ``ns``) finds a value
+below it (completeness violation).  The fac and quantum oracles are
+lower-bound searches, so only their soundness is checked.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from . import bounds, core, optimal_models, oracle, quantum, simulate
 
 SOUNDNESS_TOL = 1e-6
+EXACT_TARGETS = ("lp", "ns")  # oracles exact in both directions
 
 
 def _fmt(x: float) -> str:
@@ -161,6 +164,8 @@ def cmd_verify(args) -> int:
 
     max_gap = max(pt["gap"] for pt in points)
     violated = max_gap > SOUNDNESS_TOL
+    incomplete = args.target in EXACT_TARGETS and min(
+        pt["gap"] for pt in points) < -SOUNDNESS_TOL
     doc = {
         "target": args.target,
         "restarts": args.restarts,
@@ -168,9 +173,10 @@ def cmd_verify(args) -> int:
         "points": points,
         "max_gap": max_gap,
         "soundness_violation": violated,
+        "completeness_violation": incomplete,
     }
     _dump_json(doc, args.out)
-    return 2 if violated else 0
+    return 2 if violated else 3 if incomplete else 0
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-steps", type=int, default=5)
     p.add_argument("--samples", type=int, default=200,
                    help="number of random settings distributions (quantum target)")
-    p.add_argument("--restarts", type=int, default=100)
+    p.add_argument("--restarts", type=int, default=100,
+                   help="restarts of the fac and quantum searches; the exact "
+                        "lp and ns oracles check it (at least 1) and ignore it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, choices=[1], default=1,
                    help="campaign points run one after another on one thread; "

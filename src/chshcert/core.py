@@ -30,7 +30,7 @@ DEFAULT_TOL = 1e-9
 # (-1)**(a+b) sign table, shape (2, 2) indexed [a, b].
 _OUTCOME_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # (-1)**(j*k) sign table, shape (2, 2) indexed [j, k].
-_SETTING_SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
+SETTING_SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 class ValidationError(ValueError):
@@ -264,7 +264,7 @@ class ModelReport:
 def chsh_of_box(box: Box, tol: float = DEFAULT_TOL) -> float:
     """CHSH correlation |sum_abjk (-1)**(a+b+jk) p(a,b|j,k)|, in [0, 4]."""
     box.validate(tol)
-    return float(abs((_SETTING_SIGN * box.correlators()).sum()))
+    return float(abs((SETTING_SIGN * box.correlators()).sum()))
 
 
 def bayes_mixed_box(model: HiddenVariableModel) -> Box:
@@ -291,7 +291,7 @@ def observed_S(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> float:
     model.validate(tol)
     total = 0.0
     for w, s, b in model.components:
-        total += w * (_SETTING_SIGN * s.q * b.correlators()).sum()
+        total += w * (SETTING_SIGN * s.q * b.correlators()).sum()
     return float(4.0 * abs(total))
 
 

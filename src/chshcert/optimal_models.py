@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import DomainError
+from .bounds import DomainError, check_G
 from .core import Box, HiddenVariableModel, SettingsDistribution
 
 # Outcome rows, in entry order (a,b) = 00, 01, 10, 11, parameterized by the
@@ -61,8 +61,7 @@ def _assemble(G: float, settings_rows) -> HiddenVariableModel:
 def build_general_model(G: float, P: float) -> HiddenVariableModel:
     """Optimal no-signalling model with guessing probability G and free-will
     parameter P, for 1/4 <= P <= 1/3.  Saturates the general CHSH bound."""
-    if not 0.5 <= G <= 1.0:
-        raise DomainError(f"guessing probability must lie in [1/2, 1], got {G}")
+    check_G(G)
     if not 0.25 <= P <= 1.0 / 3.0:
         raise DomainError(f"free-will parameter must lie in [1/4, 1/3], got {P}")
     r = 1.0 - 3.0 * P
@@ -78,8 +77,7 @@ def build_general_model(G: float, P: float) -> HiddenVariableModel:
 def build_high_P_model(G: float, P: float, Q: float, Qp: float) -> HiddenVariableModel:
     """Variant for P >= 1/3: settings columns are permutations of (P, Q, Q', 0)
     with Q, Q' <= P and P + Q + Q' = 1.  Reaches S = 4 at G = 1."""
-    if not 0.5 <= G <= 1.0:
-        raise DomainError(f"guessing probability must lie in [1/2, 1], got {G}")
+    check_G(G)
     if not 1.0 / 3.0 <= P <= 1.0:
         raise DomainError(f"free-will parameter must lie in [1/3, 1], got {P}")
     if Q < 0.0 or Qp < 0.0 or Q > P or Qp > P:
@@ -106,8 +104,7 @@ def build_fac_model_high_P(G: float, P: float) -> HiddenVariableModel:
 def build_fac_model_low_P(G: float, P: float) -> HiddenVariableModel:
     """Factorizable optimal model for 1/4 <= P <= 1/2; saturates the
     factorizable CHSH bound 4 - 4(2G-1)(1-2P)."""
-    if not 0.5 <= G <= 1.0:
-        raise DomainError(f"guessing probability must lie in [1/2, 1], got {G}")
+    check_G(G)
     if not 0.25 <= P <= 0.5:
         raise DomainError(f"free-will parameter must lie in [1/4, 1/2], got {P}")
     h = 0.5 - P

@@ -2,23 +2,35 @@
 
 Three oracles, none of which trusts the closed forms:
 
-* :func:`lp_deterministic_max_S` -- exact linear program over mixtures of the
-  16 local deterministic strategies (the G = 1 case).
-* :func:`maximize_S_ns` -- randomized multi-start ascent over general
-  no-signalling hidden-variable models at fixed (G, P).
-* :func:`maximize_S_fac` -- the same search with every settings distribution
-  constrained to product form.
+* :func:`maximize_S_ns` -- exact linear program over no-signalling
+  hidden-variable models at fixed (G, P).
+* :func:`lp_deterministic_max_S` -- the same program over local deterministic
+  strategies alone (the G = 1 case).
+* :func:`maximize_S_fac` -- randomized multi-start search over models whose
+  settings distributions all factorize.
 
-Every reported value is the exact ``observed_S`` of a feasible model that
-passed the core validity checks, so soundness (never exceeding a correct
-bound) holds by construction up to the feasibility tolerance.
+Every reported value is the exact ``observed_S`` of a model that passed the
+core validity checks, so soundness (never exceeding a correct bound) holds by
+construction up to the feasibility tolerance.
 
-The deterministic LP restricts the hidden variable to the 16 local
-deterministic strategies.  This is valid at G = 1 because a guessing value of
-1 forces deterministic marginals, and extremal no-signalling boxes with
-deterministic marginals are products of deterministic local strategies.  The
-substitution w(lambda, j, k) = rho(lambda) p(j, k | lambda) makes every
-constraint linear.
+The vertex LP.  Every no-signalling box is a mixture of the 16 local
+deterministic boxes (guessing value 1) and the 8 PR boxes (guessing value
+1/2) (Barrett et al., PRA 71, 022101 (2005)).  With one component per vertex
+box v and w(v, jk) = rho(v) q_v(j, k), every constraint is linear:
+
+    sum_v w(v, jk) = 1/4                    uniform observed inputs,
+    sum_v g_v sum_jk w(v, jk) = G           guessing probability,
+    w(v, jk) <= P sum_j'k' w(v, j'k')       free will,
+
+and so is S = 4 sum_{v,jk} (-1)**jk E_v(jk) w(v, jk).  Its optimum V(G) is
+also an upper bound.  Splitting a component of any model into vertex boxes
+with the same settings keeps S, P and the uniform inputs and can only raise
+G, because a box's guessing value is convex.  V is concave in G and equals
+its maximum 4 at G = 1/2, so it does not increase in G; hence no model with
+guessing probability G beats V(G).  At G = 1 every box must have
+deterministic marginals, and the extremal no-signalling boxes with
+deterministic marginals are the deterministic ones, so
+:func:`lp_deterministic_max_S` keeps their 16 columns and drops the G row.
 """
 
 from __future__ import annotations
@@ -29,17 +41,18 @@ import itertools
 import numpy as np
 
 from . import core
-from .bounds import DomainError
+from .bounds import DomainError, check_G, check_P
 from .core import Box, HiddenVariableModel, SettingsDistribution, box_from_marginals
 from .simplex import InfeasibleError, UnboundedError, solve_lp
 
-_SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])  # (-1)**(j*k)
-
 FEASIBILITY_TOL = 1e-9
+# Vertex components lighter than this are LP rounding noise; their settings
+# w / rho would be meaningless.
+_MIN_WEIGHT = 1e-12
 
 
 class OracleError(RuntimeError):
-    """No feasible model was found by any restart."""
+    """No feasible model was found."""
 
 
 def deterministic_strategies() -> list[tuple[int, int, int, int]]:
@@ -47,41 +60,110 @@ def deterministic_strategies() -> list[tuple[int, int, int, int]]:
     return list(itertools.product((0, 1), repeat=4))
 
 
+def _pr_boxes() -> list[Box]:
+    """The 8 PR boxes: p(a,b|j,k) = 1/2 iff a xor b = jk xor xj xor yk xor z."""
+    boxes = []
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        p = np.zeros((2, 2, 2, 2))
+        for a, j, k in itertools.product((0, 1), repeat=3):
+            p[a, a ^ (j & k) ^ (x & j) ^ (y & k) ^ z, j, k] = 0.5
+        boxes.append(Box(p))
+    return boxes
+
+
+@functools.lru_cache(maxsize=None)
+def _vertices() -> tuple[tuple[Box, ...], np.ndarray, np.ndarray]:
+    """The 16 deterministic boxes then the 8 PR boxes, their objective rows
+    4 (-1)**jk E_v(jk) (shape (24, 4)) and their guessing values."""
+    boxes = tuple(core.deterministic_box(*s) for s in deterministic_strategies())
+    boxes += tuple(_pr_boxes())
+    obj = np.stack([4.0 * (core.SETTING_SIGN * b.correlators()).ravel() for b in boxes])
+    g = np.array([b.guessing_value() for b in boxes])
+    return boxes, obj, g
+
+
+def _vertex_model(P: float, G: float | None) -> HiddenVariableModel:
+    """Optimal model of the vertex LP: over all 24 vertex boxes with the
+    guessing row, or over the 16 deterministic ones without it when G is
+    None."""
+    boxes, obj, g = _vertices()
+    n = len(boxes) if G is not None else 16
+    A_eq = np.tile(np.eye(4), n)
+    b_eq = np.full(4, 0.25)
+    if G is not None:
+        A_eq = np.vstack([A_eq, np.repeat(g, 4)])
+        b_eq = np.append(b_eq, G)
+    try:
+        res = solve_lp(obj[:n].ravel(), A_ub=np.kron(np.eye(n), np.eye(4) - P),
+                       b_ub=np.zeros(4 * n), A_eq=A_eq, b_eq=b_eq, maximize=True)
+    except (InfeasibleError, UnboundedError) as exc:
+        raise OracleError(f"vertex LP failed at G={G}, P={P}: {exc}") from exc
+    w = res.x.reshape(n, 4)
+    rho = w.sum(axis=1)
+    return HiddenVariableModel(tuple(
+        (rho[v], _capped_settings(w[v] / rho[v], P), boxes[v])
+        for v in np.flatnonzero(rho > _MIN_WEIGHT)
+    ))
+
+
+def _capped_settings(q: np.ndarray, P: float) -> SettingsDistribution:
+    """q = w / rho moved into [0, P] with its sum kept at 1.
+
+    Dividing by a light component's weight magnifies the LP's rounding
+    error: at (G, P) = (1, 0.50049) a component of weight 1e-6 came out
+    6e-9 above the cap.  The move is of that size, and it shifts the
+    uniform rows by at most the weight times the move."""
+    q = np.clip(q, 0.0, P)
+    short = 1.0 - q.sum()
+    if short > 0.0:
+        q += short * (P - q) / (P - q).sum()  # the room sums to 4P - 1 + short
+    else:
+        q /= q.sum()
+    return SettingsDistribution(q)
+
+
+def _validated_S(model: HiddenVariableModel, G: float, P: float, tol: float) -> float:
+    val = _finalize(G, P, model, tol)
+    if val is None:
+        raise OracleError(f"the vertex LP's model fails validation at G={G}, P={P}")
+    return val
+
+
 def lp_deterministic_max_S(P: float) -> float:
     """Exact maximum of the observed CHSH value over mixtures of local
     deterministic strategies with free-will parameter at most P, subject to
-    uniform observed inputs."""
-    if not 0.25 <= P <= 1.0:
-        raise DomainError(f"free-will parameter must lie in [1/4, 1], got {P}")
-    strategies = deterministic_strategies()
-    n_s = len(strategies)
-    # Objective: S = 4 * sum_{s,jk} (-1)**jk E_s(jk) w(s, jk).
-    obj = np.zeros((n_s, 4))
-    for si, (a0, a1, b0, b1) in enumerate(strategies):
-        outs_a, outs_b = (a0, a1), (b0, b1)
-        for idx, (j, k) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            e = (-1.0) ** (outs_a[j] + outs_b[k])
-            obj[si, idx] = 4.0 * _SIGN[j, k] * e
-    nvar = n_s * 4
-    # Uniform observed inputs: sum_s w(s, jk) = 1/4 for each pair.
-    A_eq = np.zeros((4, nvar))
-    for idx in range(4):
-        A_eq[idx, idx::4] = 1.0
-    b_eq = np.full(4, 0.25)
-    # Free-will cap: w(s, jk) <= P * sum_{j'k'} w(s, j'k').
-    A_ub = np.zeros((nvar, nvar))
-    for si in range(n_s):
-        for idx in range(4):
-            row = si * 4 + idx
-            A_ub[row, si * 4: si * 4 + 4] -= P
-            A_ub[row, row] += 1.0
-    b_ub = np.zeros(nvar)
-    res = solve_lp(obj.ravel(), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=True)
-    return res.fun
+    uniform observed inputs: the validated S of the optimal model."""
+    check_P(P)
+    return _validated_S(_vertex_model(P, None), 1.0, P, FEASIBILITY_TOL)
+
+
+def maximize_S_ns(
+    G: float,
+    P: float,
+    components: int = 4,
+    restarts: int = 100,
+    seed: int = 0,
+    tol: float = FEASIBILITY_TOL,
+) -> float:
+    """Exact maximum of the observed CHSH value over no-signalling models with
+    guessing probability G, free-will parameter at most P and uniform
+    observed inputs: the validated S of the vertex LP's optimal model.
+
+    The value is exact in both directions (see the module docstring), so
+    ``components``, ``restarts`` and ``seed`` do not change it.  They are
+    still checked (at least 4 components and 1 restart), as for
+    :func:`maximize_S_fac`, which takes the same arguments."""
+    check_G(G)
+    check_P(P)
+    if components < 4:
+        raise DomainError("at least 4 components are required")
+    if restarts < 1:
+        raise DomainError("at least one restart is required")
+    return _validated_S(_vertex_model(P, G), G, P, tol)
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery for the nonlinear oracles.
+# Shared machinery for the factorizable oracle.
 #
 # For fixed weights the best box at a given per-component guessing value g
 # concentrates the unavoidable marginal mismatch 2g - 1 on a single setting
@@ -108,32 +190,6 @@ def _optimal_c(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return c
 
 
-def _correlators(m: np.ndarray, n: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return 1.0 - 2.0 * m[:, None] - 2.0 * n[None, :] + 4.0 * c
-
-
-def _allocate_guessing(G: float, rho: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Choose per-component guessing values g in [1/2, 1] minimizing
-    sum(cost * g) subject to sum(rho * g) = G.  Continuous knapsack: raise g
-    to 1 for the cheapest components (by cost per unit of weight) first."""
-    L = len(rho)
-    g = np.full(L, 0.5)
-    active = rho > 0.0
-    budget = G - 0.5 * rho[active].sum()
-    if budget <= 0.0:
-        return g
-    ratio = np.where(active, cost / np.maximum(rho, 1e-300), np.inf)
-    for idx in np.argsort(ratio, kind="stable"):
-        if not active[idx]:
-            continue
-        step = min(0.5, budget / rho[idx])
-        g[idx] = 0.5 + step
-        budget -= step * rho[idx]
-        if budget <= 1e-16:
-            break
-    return g
-
-
 def _assemble_model(
     rho: np.ndarray, q: np.ndarray, ms: np.ndarray, ns: np.ndarray
 ) -> HiddenVariableModel:
@@ -144,150 +200,15 @@ def _assemble_model(
     return HiddenVariableModel(tuple(comps))
 
 
-def _finalize(
-    G: float, P: float, rho: np.ndarray, q: np.ndarray,
-    ms: np.ndarray, ns: np.ndarray, tol: float,
-) -> float | None:
+def _finalize(G: float, P: float, model: HiddenVariableModel, tol: float) -> float | None:
     """Validate a candidate and return its exact observed CHSH value, or None
     when it misses the (G, P, uniformity) constraints."""
-    model = _assemble_model(rho, q, ms, ns)
     report = core.validate(model, tol)
     if not report.valid:
         return None
     if abs(report.G - G) > tol or report.P > P + tol:
         return None
     return report.S
-
-
-# ---------------------------------------------------------------------------
-# General no-signalling oracle: block-coordinate ascent.
-#
-# Decision variables are w(lambda, j, k) = rho(lambda) q_lambda(j, k) plus the
-# per-component box marginals.  Three exact block steps alternate:
-#   1. w-step: a linear program (uniformity, guessing and free-will caps are
-#      all linear in w for fixed boxes),
-#   2. box step: concentrate each component's marginal mismatch on its
-#      cheapest setting pair,
-#   3. guessing reallocation across components (continuous knapsack).
-# Each step never decreases the objective, so the ascent converges.
-
-def _ns_w_lp(E: np.ndarray, g: np.ndarray, G: float, P: float) -> np.ndarray:
-    L = E.shape[0]
-    nvar = L * 4
-    obj = (4.0 * _SIGN[None, :, :] * E).reshape(L, 4).ravel()
-    A_eq = np.zeros((5, nvar))
-    for idx in range(4):
-        A_eq[idx, idx::4] = 1.0
-    b_eq = np.concatenate([np.full(4, 0.25), [G]])
-    for lam in range(L):
-        A_eq[4, lam * 4: lam * 4 + 4] = g[lam]
-    A_ub = np.zeros((nvar, nvar))
-    for lam in range(L):
-        for idx in range(4):
-            row = lam * 4 + idx
-            A_ub[row, lam * 4: lam * 4 + 4] -= P
-            A_ub[row, row] += 1.0
-    b_ub = np.zeros(nvar)
-    res = solve_lp(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=True)
-    return res.x.reshape(L, 4)
-
-
-def _ns_restart(
-    rng: np.random.Generator,
-    G: float,
-    P: float,
-    L: int,
-    structured: bool,
-    max_iter: int = 30,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if structured:
-        # Start from pattern boxes whose mismatch positions cover all four
-        # setting pairs (a random assignment with full coverage) at the common
-        # guessing value G; the ascent then only has to discover the weights.
-        pos0 = np.concatenate(
-            [rng.permutation(4), rng.integers(0, 4, size=L - 4)]
-        )
-        g = np.full(L, G)
-        ms = np.empty((L, 2))
-        ns = np.empty((L, 2))
-        for lam in range(L):
-            ms[lam], ns[lam] = _pattern_marginals(int(pos0[lam]), g[lam])
-    else:
-        # Fully random box marginals; force component 0 to guessing value
-        # exactly G so the w-program is always feasible (all weight on
-        # component 0 works).
-        ms = rng.uniform(0.0, 1.0, size=(L, 2))
-        ns = rng.uniform(0.0, 1.0, size=(L, 2))
-        dev = max(
-            np.abs(ms[0] - 0.5).max(), np.abs(ns[0] - 0.5).max()
-        )
-        if dev == 0.0:
-            ms[0, 0] = G
-        else:
-            t = (G - 0.5) / dev
-            ms[0] = 0.5 + t * (ms[0] - 0.5)
-            ns[0] = 0.5 + t * (ns[0] - 0.5)
-        g = np.array([
-            max(ms[lam].max(), 1.0 - ms[lam].min(), ns[lam].max(), 1.0 - ns[lam].min())
-            for lam in range(L)
-        ])
-    w = np.full((L, 4), 0.25 / L)
-    prev = -np.inf
-    for _ in range(max_iter):
-        E = np.stack([
-            _correlators(ms[lam], ns[lam], _optimal_c(ms[lam], ns[lam]))
-            for lam in range(L)
-        ])
-        w = _ns_w_lp(E, g, G, P)
-        rho = w.sum(axis=1)
-        pos = w.argmin(axis=1)
-        cost = w[np.arange(L), pos]
-        g = _allocate_guessing(G, rho, cost)
-        for lam in range(L):
-            if rho[lam] > 0.0:
-                ms[lam], ns[lam] = _pattern_marginals(int(pos[lam]), g[lam])
-        val = 4.0 * (w.sum() - 2.0 * (cost * (2.0 * g - 1.0)).sum())
-        if val - prev < 1e-12:
-            break
-        prev = val
-    rho = w.sum(axis=1)
-    q = np.where(rho[:, None] > 0.0, w / np.maximum(rho[:, None], 1e-300), 0.25)
-    return rho, q.reshape(-1, 2, 2), ms, ns
-
-
-def maximize_S_ns(
-    G: float,
-    P: float,
-    components: int = 4,
-    restarts: int = 100,
-    seed: int = 0,
-    tol: float = FEASIBILITY_TOL,
-) -> float:
-    """Best observed CHSH value found over no-signalling models with guessing
-    probability G, free-will parameter at most P and uniform observed inputs."""
-    if not 0.5 <= G <= 1.0:
-        raise DomainError(f"guessing probability must lie in [1/2, 1], got {G}")
-    if not 0.25 <= P <= 1.0:
-        raise DomainError(f"free-will parameter must lie in [1/4, 1], got {P}")
-    if components < 4:
-        raise DomainError("at least 4 components are required")
-    if restarts < 1:
-        raise DomainError("at least one restart is required")
-    best = None
-    for i in range(restarts):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,)))
-        )
-        try:
-            rho, q, ms, ns = _ns_restart(rng, G, P, components, structured=i % 2 == 0)
-        except (InfeasibleError, UnboundedError):
-            continue
-        val = _finalize(G, P, rho, q, ms, ns, tol)
-        if val is not None and (best is None or val > best):
-            best = val
-    if best is None:
-        raise OracleError(f"no feasible no-signalling model found at G={G}, P={P}")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +320,8 @@ def maximize_S_fac(
     all factorize into independent Alice/Bob setting choices."""
     from scipy.optimize import minimize
 
-    if not 0.5 <= G <= 1.0:
-        raise DomainError(f"guessing probability must lie in [1/2, 1], got {G}")
-    if not 0.25 <= P <= 1.0:
-        raise DomainError(f"free-will parameter must lie in [1/4, 1], got {P}")
+    check_G(G)
+    check_P(P)
     if components < 4:
         raise DomainError("at least 4 components are required")
     if restarts < 1:
@@ -444,7 +363,7 @@ def maximize_S_fac(
         ns = np.empty((L, 2))
         for lam in range(L):
             ms[lam], ns[lam] = _pattern_marginals(int(pos[lam]), g[lam])
-        val = _finalize(G, P, rho, q.reshape(L, 2, 2), ms, ns, tol)
+        val = _finalize(G, P, _assemble_model(rho, q.reshape(L, 2, 2), ms, ns), tol)
         if val is not None and (best is None or val > best):
             best = val
     if best is None:

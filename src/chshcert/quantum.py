@@ -17,13 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BiasedDistribution, DomainError, alpha_opt
+from .core import SETTING_SIGN
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-_SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])  # (-1)**(j*k)
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def evaluate_strategy(strategy: QuantumStrategy, dist: BiasedDistribution) -> fl
     B = (strategy.b0.matrix(), strategy.b1.matrix())
     p = dist.probs.reshape(2, 2)
     total = sum(
-        _SIGN[j, k] * p[j, k] * _expectation(psi, A[j], B[k])
+        SETTING_SIGN[j, k] * p[j, k] * _expectation(psi, A[j], B[k])
         for j in (0, 1) for k in (0, 1)
     )
     return float(4.0 * abs(total))
@@ -176,7 +175,7 @@ def _spectral_objective(x: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray
     A = ops[:2]
     B = ops[2:]
     M = sum(
-        _SIGN[j, k] * p[j, k] * np.kron(A[j], B[k])
+        SETTING_SIGN[j, k] * p[j, k] * np.kron(A[j], B[k])
         for j in (0, 1) for k in (0, 1)
     )
     evals, evecs = np.linalg.eigh(M)
@@ -189,14 +188,14 @@ def _spectral_objective(x: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray
     grad = np.zeros((4, 3))
     # Alice blocks: d<M>/dA_j with companion C_j = sum_k sign*p*B_k.
     for j in (0, 1):
-        C = _SIGN[j, 0] * p[j, 0] * B[0] + _SIGN[j, 1] * p[j, 1] * B[1]
+        C = SETTING_SIGN[j, 0] * p[j, 0] * B[0] + SETTING_SIGN[j, 1] * p[j, 1] * B[1]
         K = psi_mat @ C.T @ psi_mat.conj().T
         tr_sigma = np.array([np.trace(s @ K) for s in _PAULIS])
         tr_a = np.trace(A[j] @ K)
         grad[j] = (tr_sigma - units[j] * tr_a).real / norms[j]
     # Bob blocks: companion D_k = sum_j sign*p*A_j.
     for k in (0, 1):
-        D = _SIGN[0, k] * p[0, k] * A[0] + _SIGN[1, k] * p[1, k] * A[1]
+        D = SETTING_SIGN[0, k] * p[0, k] * A[0] + SETTING_SIGN[1, k] * p[1, k] * A[1]
         Q = psi_mat.conj().T @ D @ psi_mat
         tr_sigma = np.array([(Q * s).sum() for s in _PAULIS])
         tr_b = (Q * B[k]).sum()
@@ -239,7 +238,7 @@ def optimize_strategy_numeric(
     vecs = best_x.reshape(4, 3)
     obs = [Observable.from_vector(v) for v in vecs]
     M = sum(
-        _SIGN[j, k] * p[j, k] * np.kron(obs[j].matrix(), obs[2 + k].matrix())
+        SETTING_SIGN[j, k] * p[j, k] * np.kron(obs[j].matrix(), obs[2 + k].matrix())
         for j in (0, 1) for k in (0, 1)
     )
     evals, evecs = np.linalg.eigh(M)

@@ -28,7 +28,14 @@ class TrialCounts:
     counts: np.ndarray  # shape (2, 2, 2, 2), indexed [a, b, j, k]
 
     def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64).reshape(2, 2, 2, 2)
+        raw = np.asarray(self.counts)
+        if raw.dtype.kind not in "biu":
+            raw = raw.astype(float)
+            if not np.isfinite(raw).all():
+                raise ValueError("counts must be finite")
+            if (raw != np.round(raw)).any():
+                raise ValueError("counts must be integers")
+        arr = raw.astype(np.int64).reshape(2, 2, 2, 2)
         if arr.min() < 0:
             raise ValueError("counts must be nonnegative")
         if arr.sum() != self.n:
@@ -119,8 +126,7 @@ def estimate_S(counts: TrialCounts) -> tuple[float, float]:
         raise DomainError("every setting pair must be observed at least once")
     sign_ab = np.array([[1.0, -1.0], [-1.0, 1.0]])
     corr = np.einsum("ab,abjk->jk", sign_ab, counts.counts.astype(float)) / totals
-    sign_jk = np.array([[1.0, 1.0], [1.0, -1.0]])
-    s_hat = abs((sign_jk * corr).sum())
+    s_hat = abs((core.SETTING_SIGN * corr).sum())
     var = ((1.0 - corr**2) / totals).sum()
     return float(s_hat), float(math.sqrt(var))
 

@@ -126,6 +126,21 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert doc["soundness_violation"] is False
 
+    @pytest.mark.parametrize("target, name", [
+        ("ns", "maximize_S_ns"), ("lp", "lp_deterministic_max_S"),
+    ])
+    def test_exact_target_below_the_bound_exits_3(self, tmp_path, monkeypatch,
+                                                  target, name):
+        monkeypatch.setattr(oracle, name, lambda *args, **kwargs: 0.0)
+        out = tmp_path / "verify.json"
+        assert _run([
+            "verify", "--target", target, "--g-steps", "2", "--p-steps", "2",
+            "--out", str(out),
+        ]) == 3
+        doc = json.loads(out.read_text())
+        assert doc["soundness_violation"] is False
+        assert doc["completeness_violation"] is True
+
     def test_points_run_in_grid_order_on_the_calling_thread(self, tmp_path,
                                                              monkeypatch):
         caller, threads_before = threading.get_ident(), threading.active_count()

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo trial engine and certification pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,25 @@ class TestTrialCounts:
         arr = np.ones((2, 2, 2, 2), dtype=np.int64)
         with pytest.raises(ValueError):
             TrialCounts(n=10, counts=arr)
+
+    def test_rejects_fractional_counts(self):
+        arr = np.zeros(16)
+        arr[:2] = (2.7, 1.2)
+        with pytest.raises(ValueError, match="integers"):
+            TrialCounts(n=3, counts=arr)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_counts(self, bad):
+        arr = np.ones(16)
+        arr[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                TrialCounts(n=16, counts=arr)
+
+    def test_accepts_integral_floats(self):
+        counts = TrialCounts(n=16, counts=np.ones(16))
+        assert counts.counts.dtype == np.int64
 
     def test_setting_totals(self):
         arr = np.ones((2, 2, 2, 2), dtype=np.int64)
