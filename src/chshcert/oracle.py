@@ -1,13 +1,13 @@
 """Independent verification of the trade-off bounds by optimization.
 
-Three oracles, none of which trusts the closed forms:
+Three oracles, none of which trusts the closed forms, all exact:
 
-* :func:`maximize_S_ns` -- exact linear program over no-signalling
-  hidden-variable models at fixed (G, P).
+* :func:`maximize_S_ns` -- linear program over no-signalling hidden-variable
+  models at fixed (G, P).
 * :func:`lp_deterministic_max_S` -- the same program over local deterministic
   strategies alone (the G = 1 case).
-* :func:`maximize_S_fac` -- randomized multi-start search over models whose
-  settings distributions all factorize.
+* :func:`maximize_S_fac` -- column generation over models whose settings
+  distributions all factorize, closed by a certified dual bound.
 
 Every reported value is the exact ``observed_S`` of a model that passed the
 core validity checks, so soundness (never exceeding a correct bound) holds by
@@ -31,6 +31,23 @@ guessing probability G beats V(G).  At G = 1 every box must have
 deterministic marginals, and the extremal no-signalling boxes with
 deterministic marginals are the deterministic ones, so
 :func:`lp_deterministic_max_S` keeps their 16 columns and drops the G row.
+
+The factorizable LP.  Splitting a component into vertex boxes keeps its
+settings, so products stay products and the same argument bounds every
+factorizable model by the LP over columns c = (vertex v, settings
+q(u, w) = (uw, u(1-w), (1-u)w, (1-u)(1-w))) with the free-will cap
+max(u, 1-u) max(w, 1-w) <= P:
+
+    sum_c rho_c q_c(jk) = 1/4,   sum_c g_v rho_c = G,   rho_c >= 0,
+
+maximizing sum_c rho_c 4 sum_jk (-1)**jk E_v(jk) q_c(jk).  The uniform rows
+imply sum_c rho_c = 1, so for any dual vector y weak duality gives
+V <= y.b + max(0, max_c r_c(y)) with r_c the reduced cost of column c.  The
+settings form a continuum, so columns are priced rather than enumerated
+(column generation): r is bilinear in (u, w) and its maximum over the cap
+region has a closed form (:func:`_price`).  The master LP starts from five
+settings per vertex and takes the best-priced column until none prices
+above 1e-12; a gap above 1e-9 between the bound and the value raises.
 """
 
 from __future__ import annotations
@@ -42,17 +59,18 @@ import numpy as np
 
 from . import core
 from .bounds import DomainError, check_G, check_P
-from .core import Box, HiddenVariableModel, SettingsDistribution, box_from_marginals
+from .core import Box, HiddenVariableModel, SettingsDistribution
 from .simplex import InfeasibleError, UnboundedError, solve_lp
 
 FEASIBILITY_TOL = 1e-9
-# Vertex components lighter than this are LP rounding noise; their settings
-# w / rho would be meaningless.
+# LP columns lighter than this are rounding noise (and an ns component's
+# settings w / rho would be meaningless); the witness models leave them out.
 _MIN_WEIGHT = 1e-12
 
 
 class OracleError(RuntimeError):
-    """No feasible model was found."""
+    """An oracle's LP failed, or its witness model or dual bound did not
+    check out."""
 
 
 def deterministic_strategies() -> list[tuple[int, int, int, int]]:
@@ -122,11 +140,18 @@ def _capped_settings(q: np.ndarray, P: float) -> SettingsDistribution:
     return SettingsDistribution(q)
 
 
-def _validated_S(model: HiddenVariableModel, G: float, P: float, tol: float) -> float:
-    val = _finalize(G, P, model, tol)
-    if val is None:
-        raise OracleError(f"the vertex LP's model fails validation at G={G}, P={P}")
-    return val
+def _validated_S(
+    model: HiddenVariableModel, G: float, P: float, tol: float, factorizable: bool = False
+) -> float:
+    """The exact observed S of a witness model that passes validation, has
+    guessing probability G and free-will parameter at most P to ``tol``, and
+    factorizes when asked to; otherwise OracleError."""
+    report = core.validate(model, tol)
+    if not (report.valid and abs(report.G - G) <= tol and report.P <= P + tol
+            and (report.factorizable or not factorizable)):
+        raise OracleError(f"the LP's witness model fails validation at G={G}, "
+                          f"P={P}: {report}")
+    return report.S
 
 
 def lp_deterministic_max_S(P: float) -> float:
@@ -135,6 +160,15 @@ def lp_deterministic_max_S(P: float) -> float:
     uniform observed inputs: the validated S of the optimal model."""
     check_P(P)
     return _validated_S(_vertex_model(P, None), 1.0, P, FEASIBILITY_TOL)
+
+
+def _check_oracle_args(G: float, P: float, components: int, restarts: int) -> None:
+    check_G(G)
+    check_P(P)
+    if components < 4:
+        raise DomainError("at least 4 components are required")
+    if restarts < 1:
+        raise DomainError("at least one restart is required")
 
 
 def maximize_S_ns(
@@ -151,160 +185,98 @@ def maximize_S_ns(
 
     The value is exact in both directions (see the module docstring), so
     ``components``, ``restarts`` and ``seed`` do not change it.  They are
-    still checked (at least 4 components and 1 restart), as for
+    still checked (at least 4 components and 1 restart), as by
     :func:`maximize_S_fac`, which takes the same arguments."""
-    check_G(G)
-    check_P(P)
-    if components < 4:
-        raise DomainError("at least 4 components are required")
-    if restarts < 1:
-        raise DomainError("at least one restart is required")
+    _check_oracle_args(G, P, components, restarts)
     return _validated_S(_vertex_model(P, G), G, P, tol)
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery for the factorizable oracle.
-#
-# For fixed weights the best box at a given per-component guessing value g
-# concentrates the unavoidable marginal mismatch 2g - 1 on a single setting
-# pair; these patterns give the extremal marginals for each position.
+# Factorizable oracle: column generation over (vertex, product settings).
 
-def _pattern_marginals(pos: int, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """Alice/Bob zero-outcome marginals placing mismatch 2g-1 on setting pair
-    ``pos`` (flat index over (j,k) = 00, 01, 10, 11) and none elsewhere."""
-    if pos == 0:
-        m, n = (g, 1.0 - g), (1.0 - g, g)
-    elif pos == 1:
-        m, n = (g, g), (g, 1.0 - g)
-    elif pos == 2:
-        m, n = (g, 1.0 - g), (g, g)
-    else:
-        m, n = (g, g), (g, g)
-    return np.array(m), np.array(n)
+_PRICE_TOL = 1e-12  # a column enters when its reduced cost exceeds this
+_GAP_TOL = 1e-9  # largest accepted gap between the dual bound and the value
+_MAX_COLUMNS = 20  # priced columns one call may add before it gives up
 
 
-def _optimal_c(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Joint p(0,0|j,k) maximizing the signed CHSH sum for fixed marginals."""
-    c = np.minimum(m[:, None], n[None, :])
-    c[1, 1] = max(0.0, m[1] + n[1] - 1.0)
-    return c
+def _product_settings(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """q(u, w) = p(j) p(k) with p(j=0) = u, p(k=0) = w, in entry order
+    (j, k) = 00, 01, 10, 11 along a new last axis."""
+    return np.stack([u * w, u * (1.0 - w), (1.0 - u) * w, (1.0 - u) * (1.0 - w)], axis=-1)
 
 
-def _assemble_model(
-    rho: np.ndarray, q: np.ndarray, ms: np.ndarray, ns: np.ndarray
-) -> HiddenVariableModel:
-    comps = []
-    for lam in range(len(rho)):
-        box = box_from_marginals(ms[lam], ns[lam], _optimal_c(ms[lam], ns[lam]))
-        comps.append((float(rho[lam]), SettingsDistribution(q[lam]), box))
-    return HiddenVariableModel(tuple(comps))
+def _price(a: np.ndarray, P: float) -> tuple[float, int, float, float]:
+    """Maximum of a[v] . q(u, w) over the rows v of ``a`` and the product
+    settings within the free-will cap, as (value, v, u, w).
 
-
-def _finalize(G: float, P: float, model: HiddenVariableModel, tol: float) -> float | None:
-    """Validate a candidate and return its exact observed CHSH value, or None
-    when it misses the (G, P, uniformity) constraints."""
-    report = core.validate(model, tol)
-    if not report.valid:
-        return None
-    if abs(report.G - G) > tol or report.P > P + tol:
-        return None
-    return report.S
-
-
-# ---------------------------------------------------------------------------
-# Factorizable oracle: derivative-free search over the per-component local
-# setting probabilities (u, v).  Each candidate is first projected onto the
-# free-will cap exactly (shrinking toward the uniform setting choice), then
-# the component weights and guessing values are found by an exact inner
-# linear program, so every evaluated candidate is a feasible model.
-
-def _fac_repair(u: float, v: float, P: float) -> tuple[float, float]:
-    """Shrink (u, v) toward (1/2, 1/2) until max_jk q(j,k) <= P."""
-    du, dv = abs(u - 0.5), abs(v - 0.5)
-    if (0.5 + du) * (0.5 + dv) <= P:
-        return u, v
-    # Solve (1/2 + s*du)(1/2 + s*dv) = P for the shrink factor s in [0, 1).
-    a, b, c = du * dv, 0.5 * (du + dv), 0.25 - P
-    if a < 1e-30:
-        s = -c / b if b > 0.0 else 0.0
-    else:
-        s = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-    s = min(max(s, 0.0), 1.0)
-    return 0.5 + s * (u - 0.5), 0.5 + s * (v - 0.5)
-
-
-_SLACK_PENALTY = 1000.0
-
-
-@functools.lru_cache(maxsize=None)
-def _fac_lp_shape(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The inner LP's parts that do not depend on the settings, over the
-    variables (rho, t, slack+ (4), slack- (4)): the objective without its
-    t entries, the equality rows without their q block, and the rows
-    t - rho <= 0.  Read-only; callers copy what they fill in."""
-    nvar = 2 * L + 8
-    obj = np.zeros(nvar)
-    obj[2 * L:] = -_SLACK_PENALTY
-    A_eq = np.zeros((6, nvar))
-    A_eq[:4, 2 * L:2 * L + 4] = np.eye(4)
-    A_eq[:4, 2 * L + 4:] = -np.eye(4)
-    A_eq[4, :L] = 1.0
-    A_eq[5, L:2 * L] = 1.0
-    A_ub = np.hstack([-np.eye(L), np.eye(L), np.zeros((L, 8))])
-    for arr in (obj, A_eq, A_ub):
-        arr.flags.writeable = False
-    return obj, A_eq, A_ub
-
-
-def _fac_inner_lp(
-    q: np.ndarray, G: float, basis: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
-    """Exact maximum of S over weights and per-component guessing values for
-    fixed factorizable settings.
-
-    With t_lam = rho_lam * (2 g_lam - 1) the objective and all constraints
-    are linear: S = 4 - 8 sum(q_min * t), uniformity ties rho, the guessing
-    constraint becomes sum(t) = 2G - 1, and 0 <= t <= rho.  The uniformity
-    equalities carry heavily penalized elastic slacks so the program stays
-    solvable for settings that cannot mix to uniform; the outer search then
-    sees a slope toward the feasible region.  Returns (value, rho, g,
-    total slack, final basis); a candidate is genuinely feasible only when
-    the slack vanishes.  ``basis`` is the simplex's warm-start hint, usually
-    the final basis of the previous, nearby call.
+    The value is linear in w for fixed u, so it peaks at w = H or 1 - H with
+    H = min(1, P / t) and t = max(u, 1 - u) in [1/2, min(2P, 1)].  Flipping
+    Alice's setting (u -> 1 - u) or Bob's (w -> 1 - w) permutes a row's
+    entries, so it is enough to take u = t, w = H over the four flips of
+    each row.  There the value is linear in t where H = 1 (t <= P) and
+    b t + c P / t + const with b = a01 - a11, c = a10 - a11 where H = P / t,
+    whose only stationary point is t = sqrt(cP / b).  The maximum lies at
+    that point clipped to its piece, at the kink max(1/2, P) or at an end.
     """
-    L = q.shape[0]
-    obj_shape, A_eq_shape, A_ub = _fac_lp_shape(L)
-    obj = obj_shape.copy()
-    obj[L:2 * L] = -8.0 * q.min(axis=1)
-    A_eq = A_eq_shape.copy()
-    A_eq[:4, :L] = q.T
-    b_eq = np.array([0.25, 0.25, 0.25, 0.25, 1.0, 2.0 * G - 1.0])
-    res = solve_lp(obj, A_ub=A_ub, b_ub=np.zeros(L), A_eq=A_eq, b_eq=b_eq,
-                   maximize=True, basis=basis)
-    rho, t = res.x[:L], res.x[L:2 * L]
-    slack = float(res.x[2 * L:].sum())
-    g = np.where(rho > 0.0, 0.5 + t / np.maximum(2.0 * rho, 1e-300), 0.5)
-    return 4.0 + res.fun, rho, np.clip(g, 0.5, 1.0), slack, res.basis
+    hi = min(2.0 * P, 1.0)
+    lo = min(max(0.5, P), hi)
+    rows = a.reshape(-1, 2, 2)
+    flips = np.stack([rows, rows[:, ::-1], rows[:, :, ::-1], rows[:, ::-1, ::-1]], axis=1)
+    b = flips[..., 0, 1] - flips[..., 1, 1]
+    c = flips[..., 1, 0] - flips[..., 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = c * P / b
+    stationary = np.clip(np.sqrt(np.where(ratio > 0.0, ratio, lo * lo)), lo, hi)
+    t = np.stack(np.broadcast_arrays(0.5, lo, hi, stationary), axis=-1)
+    H = np.minimum(1.0, P / t)
+    q = _product_settings(t, H).reshape(*t.shape, 2, 2)
+    vals = np.einsum("vfjk,vftjk->vft", flips, q)
+    v, f, i = np.unravel_index(np.argmax(vals), vals.shape)
+    u, w = float(t[v, f, i]), float(H[v, f, i])
+    return (float(vals[v, f, i]), int(v),
+            1.0 - u if f in (1, 3) else u, 1.0 - w if f in (2, 3) else w)
 
 
-def _fac_candidate(
-    x: np.ndarray, L: int, G: float, P: float, basis: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(value, rho, q, g, basis) of the settings x; the basis is the inner
-    LP's final one, or the hint passed in when that LP failed."""
-    q = np.empty((L, 4))
-    for lam in range(L):
-        u, v = _fac_repair(float(x[lam]), float(x[L + lam]), P)
-        q[lam] = (u * v, u * (1.0 - v), (1.0 - u) * v, (1.0 - u) * (1.0 - v))
-    try:
-        val, rho, g, slack, basis = _fac_inner_lp(q, G, basis)
-    except (InfeasibleError, UnboundedError):
-        # Unboundedness can only be a numerical breakdown on a degenerate
-        # tableau; treat the candidate as infeasible either way.
-        return -np.inf, np.zeros(L), q, np.full(L, 0.5), basis
-    if slack > FEASIBILITY_TOL:
-        return val, np.zeros(L), q, g, basis  # penalized value only; not a model
-    return val, rho, q, g, basis
+def _start_settings(P: float) -> np.ndarray:
+    """The (u, w) that the master LP takes with every vertex at first: the
+    centre and, with h = min(2P, 1), (h, 1/2), (1 - h, 1/2), (1/2, h) and
+    (1/2, 1 - h), the settings of ``build_fac_model_low_P``.  The centre
+    column alone is feasible (rho_det = 2G - 1, rho_PR = 2 - 2G)."""
+    h = min(2.0 * P, 1.0)
+    return np.array([[0.5, 0.5], [h, 0.5], [1.0 - h, 0.5], [0.5, h], [0.5, 1.0 - h]])
+
+
+def _fac_model(G: float, P: float) -> tuple[HiddenVariableModel, float]:
+    """Witness model of the factorizable LP and the certified upper bound
+    y.b + max(0, max_c r_c(y)) on its value.  The dual y solves
+    B^T y = c_B over the final basis' real columns, by least squares when
+    an artificial is left on a redundant row."""
+    boxes, obj, g = _vertices()
+    start = _start_settings(P)
+    verts = np.repeat(np.arange(len(boxes)), len(start))
+    uw = np.tile(start, (len(boxes), 1))
+    b_eq = np.array([0.25, 0.25, 0.25, 0.25, G])
+    for _ in range(_MAX_COLUMNS + 1):
+        q = _product_settings(uw[:, 0], uw[:, 1])
+        cost = (obj[verts] * q).sum(axis=1)
+        A_eq = np.vstack([q.T, g[verts]])
+        try:
+            res = solve_lp(cost, A_eq=A_eq, b_eq=b_eq, maximize=True)
+        except (InfeasibleError, UnboundedError) as exc:
+            raise OracleError(f"fac master LP failed at G={G}, P={P}: {exc}") from exc
+        basic = res.basis[res.basis < cost.size]
+        y = np.linalg.lstsq(A_eq[:, basic].T, cost[basic], rcond=None)[0]
+        # sum_jk q = 1, so the guess row's dual shifts a vertex's row evenly.
+        r, v, u, w = _price(obj - y[:4] - y[4] * g[:, None], P)
+        if r <= _PRICE_TOL:
+            break
+        verts = np.append(verts, v)
+        uw = np.vstack([uw, (u, w)])
+    model = HiddenVariableModel(tuple(
+        (res.x[c], SettingsDistribution(q[c]), boxes[verts[c]])
+        for c in np.flatnonzero(res.x > _MIN_WEIGHT)
+    ))
+    return model, float(y @ b_eq + max(r, 0.0))
 
 
 def maximize_S_fac(
@@ -314,58 +286,20 @@ def maximize_S_fac(
     restarts: int = 100,
     seed: int = 0,
     tol: float = FEASIBILITY_TOL,
-    maxfev: int = 200,
 ) -> float:
-    """Best observed CHSH value found over models whose settings distributions
-    all factorize into independent Alice/Bob setting choices."""
-    from scipy.optimize import minimize
+    """Exact maximum of the observed CHSH value over models whose settings
+    distributions all factorize into independent Alice/Bob setting choices,
+    with guessing probability G, free-will parameter at most P and uniform
+    observed inputs: the validated S of the column-generation LP's
+    factorizable witness model, within 1e-9 of the LP's certified upper
+    bound or OracleError.
 
-    check_G(G)
-    check_P(P)
-    if components < 4:
-        raise DomainError("at least 4 components are required")
-    if restarts < 1:
-        raise DomainError("at least one restart is required")
-    L = components
-    # Consecutive Powell evaluations differ in one coordinate, so the last
-    # inner LP's optimal basis usually solves the next one without a pivot.
-    # The hint lives in this call only and restarts from cold with each
-    # restart, which keeps restarts independent of one another.
-    hint = None
-
-    def neg(x):
-        nonlocal hint
-        val, _, _, _, hint = _fac_candidate(x, L, G, P, hint)
-        return 1e6 if not np.isfinite(val) else -val
-
-    best = None
-    box_bounds = [(0.0, 1.0)] * (2 * L)
-    for i in range(restarts):
-        hint = None
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,)))
-        )
-        if i % 2 == 0:
-            # Corner/edge/center starts: the repair step maps these onto the
-            # boundary of the free-will cap, where the extremal settings live.
-            x0 = rng.choice([0.0, 0.5, 1.0], size=2 * L)
-        else:
-            x0 = rng.uniform(0.0, 1.0, size=2 * L)
-        res = minimize(
-            neg, x0, method="Powell", bounds=box_bounds,
-            options={"maxfev": maxfev, "xtol": 1e-8, "ftol": 1e-12},
-        )
-        cand_val, rho, q, g, _ = _fac_candidate(res.x, L, G, P, hint)
-        if not np.isfinite(cand_val):
-            continue
-        pos = q.argmin(axis=1)
-        ms = np.empty((L, 2))
-        ns = np.empty((L, 2))
-        for lam in range(L):
-            ms[lam], ns[lam] = _pattern_marginals(int(pos[lam]), g[lam])
-        val = _finalize(G, P, _assemble_model(rho, q.reshape(L, 2, 2), ms, ns), tol)
-        if val is not None and (best is None or val > best):
-            best = val
-    if best is None:
-        raise OracleError(f"no feasible factorizable model found at G={G}, P={P}")
-    return best
+    ``components``, ``restarts`` and ``seed`` do not change the value; they
+    are checked as by :func:`maximize_S_ns`."""
+    _check_oracle_args(G, P, components, restarts)
+    model, upper = _fac_model(G, P)
+    val = _validated_S(model, G, P, tol, factorizable=True)
+    if upper - val > _GAP_TOL:
+        raise OracleError(f"fac oracle's bound {upper!r} is {upper - val:.3g} above "
+                          f"its value at G={G}, P={P}")
+    return val

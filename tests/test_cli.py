@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from chshcert import cli, oracle
+from chshcert import bounds, cli, oracle
 
 
 def _run(args):
@@ -128,6 +128,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("target, name", [
         ("ns", "maximize_S_ns"), ("lp", "lp_deterministic_max_S"),
+        ("fac", "maximize_S_fac"),
     ])
     def test_exact_target_below_the_bound_exits_3(self, tmp_path, monkeypatch,
                                                   target, name):
@@ -148,7 +149,7 @@ class TestVerifyCommand:
 
         def stub(G, P, restarts, seed):
             calls.append((threading.get_ident(), threading.active_count(), G, P))
-            return 0.0
+            return bounds.s_max_fac(G, P)[0]
 
         monkeypatch.setattr(oracle, "maximize_S_fac", stub)
         out = tmp_path / "fac.json"

@@ -17,6 +17,37 @@ from chshcert.oracle import (
 )
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """Every (model, report) pair that core.validate returns during a test."""
+    seen = []
+
+    def recording(model, tol):
+        report = validate(model, tol)
+        seen.append((model, report))
+        return report
+
+    monkeypatch.setattr(core, "validate", recording)
+    return seen
+
+
+_rng = np.random.default_rng(3)
+# (1, 0.50049...) leaves the ns oracle a component of weight 1e-6 whose
+# settings w / rho exceed P by 6e-9 before they are capped.
+_WITNESS_POINTS = [(0.5, 0.25), (1.0, 1.0 / 3.0), (0.75, 0.6),
+                   (1.0, 0.5004912117589237)] + [
+    (float(_rng.uniform(0.5, 1.0)), float(_rng.uniform(0.25, 1.0)))
+    for _ in range(20)
+]
+
+
+def _assert_strictly_valid(model, G, P):
+    strict = validate(model, 1e-9)
+    assert strict.valid, strict.failures
+    assert abs(strict.G - G) <= 1e-9
+    assert strict.P <= P + 1e-9
+
+
 def test_sixteen_distinct_deterministic_strategies():
     strategies = deterministic_strategies()
     assert len(strategies) == 16
@@ -54,32 +85,13 @@ class TestNoSignallingOracle:
         assert maximize_S_ns(0.8, 0.29, restarts=6, seed=5) == a
         assert maximize_S_ns(0.8, 0.29, components=9, restarts=1, seed=0) == a
 
-    def test_value_is_the_validated_S_of_a_witness(self, monkeypatch):
-        seen = []
-
-        def recording(model, tol):
-            report = validate(model, tol)
-            seen.append((model, report))
-            return report
-
-        monkeypatch.setattr(core, "validate", recording)
-        rng = np.random.default_rng(3)
-        # (1, 0.50049...) leaves a component of weight 1e-6 whose settings
-        # w / rho exceed P by 6e-9 before they are capped.
-        points = [(0.5, 0.25), (1.0, 1.0 / 3.0), (0.75, 0.6),
-                  (1.0, 0.5004912117589237)] + [
-            (float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.25, 1.0)))
-            for _ in range(20)
-        ]
-        for G, P in points:
-            seen.clear()
+    def test_value_is_the_validated_S_of_a_witness(self, validations):
+        for G, P in _WITNESS_POINTS:
+            validations.clear()
             val = maximize_S_ns(G, P)
-            [(model, report)] = seen
+            [(model, report)] = validations
             assert val == report.S
-            strict = validate(model, 1e-9)
-            assert strict.valid, strict.failures
-            assert abs(strict.G - G) <= 1e-9
-            assert strict.P <= P + 1e-9
+            _assert_strictly_valid(model, G, P)
 
     def test_G_one_is_the_deterministic_lp(self):
         for P in (0.25, 0.27, 0.3, 1.0 / 3.0, 0.5, 1.0):
@@ -132,9 +144,11 @@ class TestVertexDecomposition:
 
 class TestFactorizableOracle:
     def test_reaches_the_bound(self):
-        for G, P in [(1.0, 0.25), (0.75, 0.28), (0.6, 0.33), (0.5, 0.3)]:
+        for G, P in [(1.0, 0.25), (0.75, 0.28), (0.6, 0.33), (0.5, 0.3),
+                     (0.5, 0.25), (1.0, 0.45), (0.8, 0.5), (1.0, 0.5),
+                     (0.7, 0.6), (1.0, 0.75), (0.5, 1.0), (1.0, 1.0)]:
             val = maximize_S_fac(G, P, restarts=10, seed=0)
-            assert val == pytest.approx(s_max_fac(G, P)[0], abs=1e-3)
+            assert val == pytest.approx(s_max_fac(G, P)[0], abs=1e-9)
 
     def test_never_exceeds_the_bound(self):
         rng = np.random.default_rng(23)
@@ -150,34 +164,78 @@ class TestFactorizableOracle:
         assert val <= s_max_ns(0.8, 0.3)[0] + 1e-6
 
     def test_deterministic_given_seed(self):
+        # The value is exact: neither the seed nor the restarts move it.
         a = maximize_S_fac(0.8, 0.29, restarts=4, seed=5)
-        b = maximize_S_fac(0.8, 0.29, restarts=4, seed=5)
-        assert a == b
+        assert maximize_S_fac(0.8, 0.29, restarts=4, seed=5) == a
+        assert maximize_S_fac(0.8, 0.29, components=9, restarts=1, seed=0) == a
 
-    def test_inner_lps_start_from_the_last_basis(self, monkeypatch):
-        results = []
+    def test_value_is_the_validated_S_of_a_witness(self, validations):
+        for G, P in _WITNESS_POINTS:
+            validations.clear()
+            val = maximize_S_fac(G, P)
+            [(model, report)] = validations
+            assert val == report.S
+            _assert_strictly_valid(model, G, P)
+            assert all(core.is_factorizable(s) for _, s, _ in model.components)
 
-        def recording(*args, **kwargs):
-            res = solve_lp(*args, **kwargs)
-            results.append(res)
-            return res
+    def test_dual_bound_closes_on_the_acceptance_grid(self):
+        for G in np.linspace(0.5, 1.0, 11):
+            for P in np.linspace(0.25, 0.33, 9):
+                model, upper = oracle._fac_model(float(G), float(P))
+                assert upper - validate(model, 1e-9).S <= 1e-9
 
-        monkeypatch.setattr(oracle, "solve_lp", recording)
-        maximize_S_fac(0.8, 0.3, restarts=2, seed=0)
-        zero_pivot = sum(res.warm and res.pivots == 0 for res in results)
-        assert zero_pivot >= 0.5 * len(results)
+    def test_priced_columns_close_the_gap_from_the_centre(self, monkeypatch):
+        # From the centre column alone, the optimal settings must be priced in.
+        monkeypatch.setattr(oracle, "_start_settings", lambda P: np.array([[0.5, 0.5]]))
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(None)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_lp", counting)
+        for G, P in [(0.8, 0.3), (1.0, 0.28), (0.6, 0.45), (0.9, 0.7)]:
+            solves.clear()
+            val = maximize_S_fac(G, P)
+            assert val == pytest.approx(s_max_fac(G, P)[0], abs=1e-9)
+            assert len(solves) > 1
+
+    def test_an_open_gap_raises(self, monkeypatch):
+        # Pricing that always reports a column worth 1 never closes the gap:
+        # the oracle must refuse rather than return a lower bound.
+        monkeypatch.setattr(oracle, "_price", lambda a, P: (1.0, 0, 0.5, 0.5))
+        with pytest.raises(oracle.OracleError, match="bound"):
+            maximize_S_fac(0.8, 0.3)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             maximize_S_fac(0.3, 0.3)
         with pytest.raises(DomainError):
+            maximize_S_fac(0.8, 0.2)
+        with pytest.raises(DomainError):
+            maximize_S_fac(0.8, 0.3, components=3)
+        with pytest.raises(DomainError):
             maximize_S_fac(0.8, 0.3, restarts=0)
 
 
-def test_pattern_marginals_realize_requested_guessing():
-    for pos in range(4):
-        for g in (0.5, 0.7, 1.0):
-            m, n = oracle._pattern_marginals(pos, g)
-            box = oracle.box_from_marginals(m, n, oracle._optimal_c(m, n))
-            assert not box.check(1e-12)
-            assert box.guessing_value() == pytest.approx(g, abs=1e-12)
+class TestPricing:
+    """The fac oracle's closed-form pricing against a dense grid of the
+    free-will cap region."""
+
+    @pytest.mark.parametrize("P", [0.25, 1.0 / 3.0, 0.5, 1.0, 0.2871, 0.4137,
+                                   0.6529, 0.9012])
+    def test_no_grid_point_prices_higher(self, P):
+        _, obj, g = oracle._vertices()
+        s = np.linspace(0.0, 1.0, 401)
+        u, w = (x.ravel() for x in np.meshgrid(s, s, indexing="ij"))
+        cap = np.maximum(u, 1.0 - u) * np.maximum(w, 1.0 - w) <= P
+        q = oracle._product_settings(u[cap], w[cap])
+        rng = np.random.default_rng(int(P * 1e4))
+        for _ in range(25):
+            y = rng.normal(size=5) * rng.choice([0.1, 1.0, 10.0])
+            a = obj - y[:4] - y[4] * g[:, None]
+            r, v, u0, w0 = oracle._price(a, P)
+            assert r >= (a @ q.T).max() - 1e-12
+            # The priced column is a real one, worth what was reported.
+            assert max(u0, 1.0 - u0) * max(w0, 1.0 - w0) <= P + 1e-15
+            assert a[v] @ oracle._product_settings(u0, w0) == pytest.approx(r, abs=1e-12)
