@@ -283,39 +283,47 @@ def bayes_mixed_box(model: HiddenVariableModel) -> Box:
     return Box(p)
 
 
+def _figures(model: HiddenVariableModel, tol: float) -> tuple[float, float, float, bool]:
+    """S, G, P and factorizability of a model that passed its checks."""
+    total, best = 0.0, 0.0
+    for w, s, b in model.components:
+        total += w * (SETTING_SIGN * s.q * b.correlators()).sum()
+        if w > 0.0:
+            best = max(best, float(s.q.max()))
+    G = float(sum(w * b.guessing_value() for w, _, b in model.components))
+    fac = all(_rank_one(s.q, tol) for w, s, _ in model.components if w > 0.0)
+    return float(4.0 * abs(total)), G, best, fac
+
+
+def _rank_one(q: np.ndarray, tol: float) -> bool:
+    return bool(abs(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]) <= tol)
+
+
 def observed_S(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> float:
     """CHSH correlation of the observed statistics of a uniform-inputs model.
 
     Equals 4 |sum_{lambda,j,k} (-1)**jk rho(lambda) q_lambda(j,k) E_lambda(j,k)|.
     """
     model.validate(tol)
-    total = 0.0
-    for w, s, b in model.components:
-        total += w * (SETTING_SIGN * s.q * b.correlators()).sum()
-    return float(4.0 * abs(total))
+    return _figures(model, tol)[0]
 
 
 def guessing_probability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> float:
     """Weighted average over lambda of the largest single-party marginal."""
     model.validate(tol)
-    return float(sum(w * b.guessing_value() for w, _, b in model.components))
+    return _figures(model, tol)[1]
 
 
 def free_will_parameter(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> float:
     """Largest input-pair probability over components with positive weight."""
     model.validate(tol)
-    best = 0.0
-    for w, s, _ in model.components:
-        if w > 0.0:
-            best = max(best, float(s.q.max()))
-    return best
+    return _figures(model, tol)[2]
 
 
 def is_factorizable(settings: SettingsDistribution, tol: float = DEFAULT_TOL) -> bool:
     """True iff the 2x2 settings matrix has rank 1 within tol."""
     settings.validate(tol)
-    q = settings.q
-    return bool(abs(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]) <= tol)
+    return _rank_one(settings.q, tol)
 
 
 def proof_quantity_K(box: Box) -> float:
@@ -343,14 +351,8 @@ def validate(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> ModelRepor
             S=float("nan"), G=float("nan"), P=float("nan"),
             factorizable=False, valid=False, failures=tuple(failures),
         )
-    fac = all(is_factorizable(s, tol) for w, s, _ in model.components if w > 0.0)
-    return ModelReport(
-        S=observed_S(model, tol),
-        G=guessing_probability(model, tol),
-        P=free_will_parameter(model, tol),
-        factorizable=fac,
-        valid=True,
-    )
+    S, G, P, fac = _figures(model, tol)  # checked once above, not again
+    return ModelReport(S=S, G=G, P=P, factorizable=fac, valid=True)
 
 
 # ---------------------------------------------------------------------------

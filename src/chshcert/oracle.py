@@ -13,35 +13,34 @@ Every reported value is the exact ``observed_S`` of a model that passed the
 core validity checks, so soundness (never exceeding a correct bound) holds by
 construction up to the feasibility tolerance.
 
-The vertex LP.  Every no-signalling box is a mixture of the 16 local
+The column LP.  Every no-signalling box is a mixture of the 16 local
 deterministic boxes (guessing value 1) and the 8 PR boxes (guessing value
-1/2) (Barrett et al., PRA 71, 022101 (2005)).  With one component per vertex
-box v and w(v, jk) = rho(v) q_v(j, k), every constraint is linear:
+1/2) (Barrett et al., PRA 71, 022101 (2005)).  All three oracles solve an
+LP over columns c = (vertex box v, settings q_c) with weights rho_c >= 0,
+rows sum_c rho_c q_c(jk) = 1/4 (uniform inputs, which imply
+sum_c rho_c = 1) and sum_c g_v rho_c = G, and objective
+S = sum_c rho_c 4 sum_jk (-1)**jk E_v(jk) q_c(jk) (:func:`_column_lp`).
 
-    sum_v w(v, jk) = 1/4                    uniform observed inputs,
-    sum_v g_v sum_jk w(v, jk) = G           guessing probability,
-    w(v, jk) <= P sum_j'k' w(v, j'k')       free will,
-
-and so is S = 4 sum_{v,jk} (-1)**jk E_v(jk) w(v, jk).  Its optimum V(G) is
-also an upper bound.  Splitting a component of any model into vertex boxes
-with the same settings keeps S, P and the uniform inputs and can only raise
-G, because a box's guessing value is convex.  V is concave in G and equals
-its maximum 4 at G = 1/2, so it does not increase in G; hence no model with
-guessing probability G beats V(G).  At G = 1 every box must have
-deterministic marginals, and the extremal no-signalling boxes with
-deterministic marginals are the deterministic ones, so
-:func:`lp_deterministic_max_S` keeps their 16 columns and drops the G row.
+The no-signalling LP.  The settings of one vertex box, scaled by its
+weight, may be any w >= 0 with w(jk) <= P sum_j'k' w(j'k'): the cone over
+the capped simplex Q_P = {q >= 0, sum q = 1, q <= P}.  The cone is spanned
+by the vertices of Q_P, whose entries all lie in {0, P} but at most one
+(:func:`_capped_simplex_vertices`), so the columns are every vertex box
+with every vertex of Q_P: at most 24 x 12 of them, five rows.  Its optimum
+V(G) is also an upper bound.  Splitting a component of any model into
+vertex boxes with the same settings keeps S, P and the uniform inputs and
+can only raise G, because a box's guessing value is convex.  V is concave
+in G and equals its maximum 4 at G = 1/2, so it does not increase in G;
+hence no model with guessing probability G beats V(G).  At G = 1 every box
+must have deterministic marginals, and the extremal no-signalling boxes
+with deterministic marginals are the deterministic ones, so
+:func:`lp_deterministic_max_S` keeps their columns and drops the G row.
 
 The factorizable LP.  Splitting a component into vertex boxes keeps its
-settings, so products stay products and the same argument bounds every
-factorizable model by the LP over columns c = (vertex v, settings
-q(u, w) = (uw, u(1-w), (1-u)w, (1-u)(1-w))) with the free-will cap
-max(u, 1-u) max(w, 1-w) <= P:
-
-    sum_c rho_c q_c(jk) = 1/4,   sum_c g_v rho_c = G,   rho_c >= 0,
-
-maximizing sum_c rho_c 4 sum_jk (-1)**jk E_v(jk) q_c(jk).  The uniform rows
-imply sum_c rho_c = 1, so for any dual vector y weak duality gives
+settings, so products stay products, and the same argument bounds every
+factorizable model by the column LP over settings
+q(u, w) = (uw, u(1-w), (1-u)w, (1-u)(1-w)) with the free-will cap
+max(u, 1-u) max(w, 1-w) <= P.  As sum_c rho_c = 1, any dual vector y gives
 V <= y.b + max(0, max_c r_c(y)) with r_c the reduced cost of column c.  The
 settings form a continuum, so columns are priced rather than enumerated
 (column generation): r is bilinear in (u, w) and its maximum over the cap
@@ -60,11 +59,11 @@ import numpy as np
 from . import core
 from .bounds import DomainError, check_G, check_P
 from .core import Box, HiddenVariableModel, SettingsDistribution
-from .simplex import InfeasibleError, UnboundedError, solve_lp
+from .simplex import InfeasibleError, LPResult, UnboundedError, solve_lp
 
 FEASIBILITY_TOL = 1e-9
-# LP columns lighter than this are rounding noise (and an ns component's
-# settings w / rho would be meaningless); the witness models leave them out.
+# LP columns lighter than this are rounding noise; the witness models leave
+# them out, which moves the uniform rows by at most this much per column.
 _MIN_WEIGHT = 1e-12
 
 
@@ -100,44 +99,48 @@ def _vertices() -> tuple[tuple[Box, ...], np.ndarray, np.ndarray]:
     return boxes, obj, g
 
 
-def _vertex_model(P: float, G: float | None) -> HiddenVariableModel:
-    """Optimal model of the vertex LP: over all 24 vertex boxes with the
-    guessing row, or over the 16 deterministic ones without it when G is
-    None."""
+def _capped_simplex_vertices(P: float) -> np.ndarray:
+    """The vertices of Q_P = {q >= 0, sum q = 1, q <= P}, one per row: m =
+    floor(1/P) entries P, one entry 1 - mP and zeros, in every arrangement.
+    There are 1, 4, 12, 6, 12 or 4 of them for P = 1/4, 1/4 < P <= 1/3,
+    1/3 < P < 1/2, P = 1/2, 1/2 < P < 1 and P = 1."""
+    m = min(int(1.0 / P), 4)
+    pattern = ((P,) * m + (max(1.0 - m * P, 0.0), 0.0, 0.0, 0.0))[:4]
+    return np.array(sorted(set(itertools.permutations(pattern))))
+
+
+def _column_lp(
+    verts: np.ndarray, q: np.ndarray, G: float | None, P: float,
+) -> tuple[HiddenVariableModel, LPResult, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the column LP over (vertex box verts[c], settings q[c]), with
+    the guess row unless G is None.  Return the witness model, one component
+    per column heavier than _MIN_WEIGHT, and the LP's result, cost, A_eq and
+    b_eq."""
     boxes, obj, g = _vertices()
-    n = len(boxes) if G is not None else 16
-    A_eq = np.tile(np.eye(4), n)
+    cost = (obj[verts] * q).sum(axis=1)
+    A_eq = q.T
     b_eq = np.full(4, 0.25)
     if G is not None:
-        A_eq = np.vstack([A_eq, np.repeat(g, 4)])
+        A_eq = np.vstack([A_eq, g[verts]])
         b_eq = np.append(b_eq, G)
     try:
-        res = solve_lp(obj[:n].ravel(), A_ub=np.kron(np.eye(n), np.eye(4) - P),
-                       b_ub=np.zeros(4 * n), A_eq=A_eq, b_eq=b_eq, maximize=True)
+        res = solve_lp(cost, A_eq=A_eq, b_eq=b_eq, maximize=True)
     except (InfeasibleError, UnboundedError) as exc:
-        raise OracleError(f"vertex LP failed at G={G}, P={P}: {exc}") from exc
-    w = res.x.reshape(n, 4)
-    rho = w.sum(axis=1)
-    return HiddenVariableModel(tuple(
-        (rho[v], _capped_settings(w[v] / rho[v], P), boxes[v])
-        for v in np.flatnonzero(rho > _MIN_WEIGHT)
+        raise OracleError(f"column LP failed at G={G}, P={P}: {exc}") from exc
+    model = HiddenVariableModel(tuple(
+        (res.x[c], SettingsDistribution(q[c]), boxes[verts[c]])
+        for c in np.flatnonzero(res.x > _MIN_WEIGHT)
     ))
+    return model, res, cost, A_eq, b_eq
 
 
-def _capped_settings(q: np.ndarray, P: float) -> SettingsDistribution:
-    """q = w / rho moved into [0, P] with its sum kept at 1.
-
-    Dividing by a light component's weight magnifies the LP's rounding
-    error: at (G, P) = (1, 0.50049) a component of weight 1e-6 came out
-    6e-9 above the cap.  The move is of that size, and it shifts the
-    uniform rows by at most the weight times the move."""
-    q = np.clip(q, 0.0, P)
-    short = 1.0 - q.sum()
-    if short > 0.0:
-        q += short * (P - q) / (P - q).sum()  # the room sums to 4P - 1 + short
-    else:
-        q /= q.sum()
-    return SettingsDistribution(q)
+def _vertex_model(P: float, G: float | None) -> HiddenVariableModel:
+    """Witness of the no-signalling LP, or of the deterministic one (its 16
+    boxes, no guess row) when G is None."""
+    n = 24 if G is not None else 16
+    corners = _capped_simplex_vertices(P)
+    return _column_lp(np.repeat(np.arange(n), len(corners)),
+                      np.tile(corners, (n, 1)), G, P)[0]
 
 
 def _validated_S(
@@ -251,19 +254,13 @@ def _fac_model(G: float, P: float) -> tuple[HiddenVariableModel, float]:
     y.b + max(0, max_c r_c(y)) on its value.  The dual y solves
     B^T y = c_B over the final basis' real columns, by least squares when
     an artificial is left on a redundant row."""
-    boxes, obj, g = _vertices()
+    _, obj, g = _vertices()
     start = _start_settings(P)
-    verts = np.repeat(np.arange(len(boxes)), len(start))
-    uw = np.tile(start, (len(boxes), 1))
-    b_eq = np.array([0.25, 0.25, 0.25, 0.25, G])
+    verts = np.repeat(np.arange(len(obj)), len(start))
+    uw = np.tile(start, (len(obj), 1))
     for _ in range(_MAX_COLUMNS + 1):
-        q = _product_settings(uw[:, 0], uw[:, 1])
-        cost = (obj[verts] * q).sum(axis=1)
-        A_eq = np.vstack([q.T, g[verts]])
-        try:
-            res = solve_lp(cost, A_eq=A_eq, b_eq=b_eq, maximize=True)
-        except (InfeasibleError, UnboundedError) as exc:
-            raise OracleError(f"fac master LP failed at G={G}, P={P}: {exc}") from exc
+        model, res, cost, A_eq, b_eq = _column_lp(
+            verts, _product_settings(uw[:, 0], uw[:, 1]), G, P)
         basic = res.basis[res.basis < cost.size]
         y = np.linalg.lstsq(A_eq[:, basic].T, cost[basic], rcond=None)[0]
         # sum_jk q = 1, so the guess row's dual shifts a vertex's row evenly.
@@ -272,10 +269,6 @@ def _fac_model(G: float, P: float) -> tuple[HiddenVariableModel, float]:
             break
         verts = np.append(verts, v)
         uw = np.vstack([uw, (u, w)])
-    model = HiddenVariableModel(tuple(
-        (res.x[c], SettingsDistribution(q[c]), boxes[verts[c]])
-        for c in np.flatnonzero(res.x > _MIN_WEIGHT)
-    ))
     return model, float(y @ b_eq + max(r, 0.0))
 
 

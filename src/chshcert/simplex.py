@@ -7,7 +7,7 @@ sizes here are at most a few hundred variables, so the dense tableau is fine.
 No answer is returned without a feasibility check against the original
 rows: x >= -1e-9 and |B x_B - b| <= 1e-9 for the final basis B, or the solve
 raises InfeasibleError: a pivoted tableau's rounding errors can leave its
-vertex missing an equality by ~1e-6 (about one ns-oracle LP in 600).  A cold
+vertex missing an equality by ~1e-6 (one free-will test LP in 600).  A cold
 solve keeps its tableau's vertex when it has no entry below -1e-12 and
 passes.  Otherwise, and for every warm start, rounds of fresh solves with
 the basis take over: x_B from B x_B = b and the reduced costs obj - A^T y

@@ -229,3 +229,56 @@ class TestNonFiniteInput:
         ))
         assert any("NaN component weight" in msg for msg in model.check())
         assert core.validate(model).valid is False
+
+
+class TestSinglePassValidation:
+    """core.validate checks a model once and computes every figure without
+    checking it again; the figures are those of the public functions."""
+
+    @staticmethod
+    def _models():
+        from chshcert import optimal_models as om
+        yield om.build_general_model(0.8, 0.3)
+        yield om.build_general_model(1.0, 0.25)
+        yield om.build_high_P_model(0.7, 0.5, 0.3, 0.2)
+        yield om.build_fac_model_high_P(0.9, 0.75)
+        yield om.build_fac_model_low_P(0.6, 0.4)
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = HiddenVariableModel.check
+
+        def counting(model, tol=core.DEFAULT_TOL):
+            calls.append(model)
+            return check(model, tol)
+
+        monkeypatch.setattr(HiddenVariableModel, "check", counting)
+        return calls
+
+    def test_checks_the_model_once(self, checks):
+        for model in self._models():
+            checks.clear()
+            assert core.validate(model).valid
+            assert len(checks) == 1 and checks[0] is model
+
+    def test_figures_equal_the_public_functions(self):
+        for model in self._models():
+            report = core.validate(model)
+            assert report.S == observed_S(model)
+            assert report.G == core.guessing_probability(model)
+            assert report.P == free_will_parameter(model)
+            assert report.factorizable == all(
+                is_factorizable(s) for w, s, _ in model.components if w > 0.0)
+
+    def test_invalid_models_still_report_nan(self, checks):
+        nan_box = Box(np.full((2, 2, 2, 2), np.nan))
+        skewed = SettingsDistribution(np.array([[0.4, 0.2], [0.2, 0.2]]))
+        for model in (HiddenVariableModel(((1.0, uniform_settings(), nan_box),)),
+                      HiddenVariableModel(((1.0, skewed, pr_box()),))):
+            checks.clear()
+            report = core.validate(model)
+            assert len(checks) == 1 and checks[0] is model
+            assert not report.valid and report.failures
+            assert math.isnan(report.S) and math.isnan(report.G) and math.isnan(report.P)
+            assert report.factorizable is False

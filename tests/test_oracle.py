@@ -32,8 +32,8 @@ def validations(monkeypatch):
 
 
 _rng = np.random.default_rng(3)
-# (1, 0.50049...) leaves the ns oracle a component of weight 1e-6 whose
-# settings w / rho exceed P by 6e-9 before they are capped.
+# At (1, 0.50049...) the old ns LP over w = rho q left a component of
+# weight 1e-6 whose settings w / rho exceeded P by 6e-9.
 _WITNESS_POINTS = [(0.5, 0.25), (1.0, 1.0 / 3.0), (0.75, 0.6),
                    (1.0, 0.5004912117589237)] + [
     (float(_rng.uniform(0.5, 1.0)), float(_rng.uniform(0.25, 1.0)))
@@ -112,6 +112,101 @@ class TestNoSignallingOracle:
             maximize_S_ns(0.8, 0.3, components=3)
         with pytest.raises(DomainError):
             maximize_S_ns(0.8, 0.3, restarts=0)
+
+
+def _vertex_count(P):
+    """Vertices of the capped simplex Q_P, by the formula for each range."""
+    if P == 0.25:
+        return 1
+    if P <= 1.0 / 3.0:
+        return 4
+    return 6 if P == 0.5 else 4 if P == 1.0 else 12
+
+
+class TestCappedSimplexVertices:
+    _Ps = [0.25, 1.0 / 3.0, 0.5, 1.0, 0.5004912117589237, 1.0 / 3.0 - 1e-12,
+           1.0 / 3.0 + 1e-12] + [float(P) for P in
+                                  np.random.default_rng(5).uniform(0.25, 1.0, 50)]
+
+    def test_distinct_vertices_of_Q_P_in_their_counts(self):
+        for P in self._Ps:
+            V = oracle._capped_simplex_vertices(P)
+            assert V.shape == (_vertex_count(P), 4), P
+            assert len({v.tobytes() for v in V}) == len(V)
+            assert V.min() >= 0.0 and V.max() <= P
+            assert np.abs(V.sum(axis=1) - 1.0).max() <= 1e-15
+
+    def test_best_vertex_is_the_maximum_over_Q_P(self):
+        rng = np.random.default_rng(8)
+        for i in range(200):
+            P = self._Ps[i % len(self._Ps)]
+            c = rng.normal(size=4)
+            ref = linprog(-c, A_eq=np.ones((1, 4)), b_eq=[1.0], bounds=(0.0, P),
+                          method="highs")
+            assert ref.status == 0, ref.message
+            best = (oracle._capped_simplex_vertices(P) @ c).max()
+            # HiGHS's point may leave Q_P by up to its 1e-7 feasibility
+            # tolerance (by 3e-12 at P = 1/3 +- 1e-12).  Clipping it into
+            # [0, P] and then fixing its sum moves it by at most twice the
+            # miss below in L1, so its value by at most |c| times that.
+            x = ref.x
+            miss = (abs(x.sum() - 1.0) + np.maximum(x - P, 0.0).sum()
+                    + np.maximum(-x, 0.0).sum())
+            assert abs(best + ref.fun) <= 1e-12 + 2.0 * np.abs(c).max() * miss, (P, c)
+
+
+def _free_will_row_lp(P, G):
+    """Optimum of the ns LP written over w(v, jk) = rho_v q_v(jk) with one
+    free-will row w(v, jk) <= P sum_jk' w(v, jk') per entry, by HiGHS; over
+    the 16 deterministic boxes without the G row when G is None."""
+    _, obj, g = oracle._vertices()
+    n = 24 if G is not None else 16
+    A_eq = np.tile(np.eye(4), n)
+    b_eq = np.full(4, 0.25)
+    if G is not None:
+        A_eq = np.vstack([A_eq, np.repeat(g, 4)])
+        b_eq = np.append(b_eq, G)
+    res = linprog(-obj[:n].ravel(), A_ub=np.kron(np.eye(n), np.eye(4) - P),
+                  b_ub=np.zeros(4 * n), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+class TestColumnLPAgainstFreeWillRows:
+    """The LP over (vertex box, vertex of Q_P) columns has the optimum of the
+    LP with free-will inequality rows, and its witnesses need no repair."""
+
+    _points = [(float(G), float(P)) for G in np.linspace(0.5, 1.0, 11)
+               for P in np.linspace(0.25, 0.33, 9)] + [
+        (float(G), float(P)) for G, P in zip(
+            np.random.default_rng(13).uniform(0.5, 1.0, 50),
+            np.random.default_rng(14).uniform(0.25, 1.0, 50))]
+
+    def test_values_match(self, validations):
+        for G, P in self._points:
+            for oracle_S, lp_G, max_components in (
+                    (lambda: maximize_S_ns(G, P), G, 5),
+                    (lambda: lp_deterministic_max_S(P), None, 4)):
+                validations.clear()
+                val = oracle_S()
+                [(model, report)] = validations
+                assert val == pytest.approx(_free_will_row_lp(P, lp_G), abs=1e-9), (G, P)
+                assert len(model.components) <= max_components
+                assert all((s.q <= P).all() for _, s, _ in model.components)
+
+
+def test_witness_reports_equal_the_public_functions(validations):
+    # core.validate checks a model once; its figures must still be exactly
+    # those of the public functions, which check the model themselves.
+    for G, P in _WITNESS_POINTS:
+        maximize_S_ns(G, P)
+        maximize_S_fac(G, P)
+    assert len(validations) == 2 * len(_WITNESS_POINTS)
+    for model, report in validations:
+        assert report.S == core.observed_S(model)
+        assert report.G == core.guessing_probability(model)
+        assert report.P == core.free_will_parameter(model)
 
 
 class TestVertexDecomposition:

@@ -105,8 +105,9 @@ _SETTING_SIGN = np.array([1.0, 1.0, 1.0, -1.0])  # (-1)**(j*k), (j,k) = 00..11
 
 
 def _ns_lp(rng, L=4):
-    """The ns oracle's w-step: w(lam, jk) for random correlators E and
-    guessing values g (g[0] = G, so all weight on component 0 is feasible)."""
+    """An LP with free-will rows, the w-step of an earlier ns oracle:
+    w(lam, jk) for random correlators E and guessing values g (g[0] = G, so
+    all weight on component 0 is feasible)."""
     G, P = rng.uniform(0.5, 1.0), rng.uniform(0.25, 1.0 / 3.0)
     g = rng.uniform(0.5, 1.0, L)
     g[0] = G
