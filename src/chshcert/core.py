@@ -11,7 +11,9 @@ computes the three figures of merit of such a model:
 
 together with validity checks (normalization, positivity, no-signalling,
 uniform observed inputs) and a JSON serialization that round-trips bit-exactly
-at double precision.
+at double precision.  Boxes and settings distributions own read-only copies
+of their tables; a box computes its invariants (the checks' deviations, its
+correlators and guessing value) once, on first use, and reads them from then on.
 
 Index conventions: boxes are arrays of shape (2, 2, 2, 2) indexed [a, b, j, k];
 settings distributions are arrays of shape (2, 2) indexed [j, k].
@@ -19,9 +21,10 @@ settings distributions are arrays of shape (2, 2) indexed [j, k].
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,11 +51,15 @@ class Box:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
+        arr = np.array(self.p, dtype=float)  # a private copy, never the caller's
         if arr.shape != (2, 2, 2, 2):
             raise ValidationError(f"box table must have shape (2,2,2,2), got {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
+
+    @functools.cached_property
+    def _record(self) -> _BoxRecord:
+        return _box_record(self.p)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Box":
@@ -85,14 +92,12 @@ class Box:
         return self.p.sum(axis=0).mean(axis=1)
 
     def correlators(self) -> np.ndarray:
-        """E(j, k) = sum_ab (-1)**(a+b) p(a,b|j,k), shape (2, 2)."""
-        return np.einsum("ab,abjk->jk", _OUTCOME_SIGN, self.p)
+        """E(j, k) = sum_ab (-1)**(a+b) p(a,b|j,k), shape (2, 2), read-only."""
+        return self._record.correlators
 
     def guessing_value(self) -> float:
         """Largest single-party outcome probability over both parties and settings."""
-        m = self.alice_marginals()
-        n = self.bob_marginals()
-        return float(max(m.max(), n.max()))
+        return self._record.guess
 
     def check(self, tol: float = DEFAULT_TOL) -> list[str]:
         """Return a list of violated invariants (empty when valid).
@@ -100,19 +105,15 @@ class Box:
         Every test is written as ``not (x >= bound)`` or ``not (x <= bound)``:
         NaN compares False with everything, so it fails the test instead of
         passing it, and an infinite entry fails normalization."""
+        r = self._record
         failures = []
-        lo = self.p.min()
-        if not lo >= -tol:
-            failures.append(f"box has negative or NaN entry {lo:.3g}")
-        norms = self.p.sum(axis=(0, 1))
-        if not np.abs(norms - 1.0).max() <= tol:
+        if not r.lo >= -tol:
+            failures.append(f"box has negative or NaN entry {r.lo:.3g}")
+        if not r.norm_dev <= tol:
             failures.append("box columns not normalized")
-        # Alice's marginal must not depend on Bob's setting and vice versa.
-        pa = self.p.sum(axis=1)  # [a, j, k]
-        pb = self.p.sum(axis=0)  # [b, j, k]
-        if not np.abs(pa[:, :, 0] - pa[:, :, 1]).max() <= tol:
+        if not r.to_alice <= tol:
             failures.append("box signals from Bob to Alice")
-        if not np.abs(pb[:, 0, :] - pb[:, 1, :]).max() <= tol:
+        if not r.to_bob <= tol:
             failures.append("box signals from Alice to Bob")
         return failures
 
@@ -120,6 +121,29 @@ class Box:
         failures = self.check(tol)
         if failures:
             raise ValidationError("; ".join(failures))
+
+
+class _BoxRecord(NamedTuple):
+    """A box's invariants, computed once from its table (see Box.check)."""
+
+    lo: float  # minimum entry
+    norm_dev: float  # largest |sum_ab p(a,b|j,k) - 1|
+    to_alice: float  # largest change of Alice's marginal with Bob's setting
+    to_bob: float  # largest change of Bob's marginal with Alice's setting
+    correlators: np.ndarray
+    guess: float
+
+
+def _box_record(p: np.ndarray) -> _BoxRecord:
+    pa, pb = p.sum(axis=1), p.sum(axis=0)  # [a, j, k] and [b, j, k]
+    corr = np.einsum("ab,abjk->jk", _OUTCOME_SIGN, p)
+    corr.flags.writeable = False
+    return _BoxRecord(
+        p.min(), np.abs(p.sum(axis=(0, 1)) - 1.0).max(),
+        np.abs(pa[:, :, 0] - pa[:, :, 1]).max(), np.abs(pb[:, 0, :] - pb[:, 1, :]).max(),
+        # the maxima of alice_marginals() and bob_marginals()
+        corr, float(max(pa.mean(axis=2).max(), pb.mean(axis=1).max())),
+    )
 
 
 def box_from_marginals(m: Sequence[float], n: Sequence[float], c: np.ndarray) -> Box:
@@ -174,7 +198,7 @@ class SettingsDistribution:
     q: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.q, dtype=float).reshape(2, 2)
+        arr = np.array(self.q, dtype=float).reshape(2, 2)  # a private copy
         arr.flags.writeable = False
         object.__setattr__(self, "q", arr)
 

@@ -1,4 +1,4 @@
-"""Small dense two-phase simplex solver with warm starts.
+"""Small dense two-phase simplex solver.
 
 Solves  min c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,
 entirely in double precision.  Bland's rule guards against cycling; problem
@@ -7,19 +7,17 @@ sizes here are at most a few hundred variables, so the dense tableau is fine.
 No answer is returned without a feasibility check against the original
 rows: x >= -1e-9 and |B x_B - b| <= 1e-9 for the final basis B, or the solve
 raises InfeasibleError: a pivoted tableau's rounding errors can leave its
-vertex missing an equality by ~1e-6 (one free-will test LP in 600).  A cold
-solve keeps its tableau's vertex when it has no entry below -1e-12 and
-passes.  Otherwise, and for every warm start, rounds of fresh solves with
-the basis take over: x_B from B x_B = b and the reduced costs obj - A^T y
-from B^T y = obj_B.  When the reduced costs are nonnegative and some x_B is
-below -1e-12, dual simplex pivots continue on a tableau rebuilt from B; when
-a reduced cost is negative, primal simplex pivots do.
+vertex missing an equality by ~1e-6 (one free-will test LP in 600).  A solve
+keeps its tableau's vertex when it has no entry below -1e-12 and passes.
+Otherwise rounds of fresh solves with the basis take over: x_B from
+B x_B = b and the reduced costs obj - A^T y from B^T y = obj_B.  When the
+reduced costs are nonnegative and some x_B is below -1e-12, dual simplex
+pivots continue on a tableau rebuilt from B; when a reduced cost is
+negative, primal simplex pivots do.
 
-A solve returns its final basis.  Passed back as the ``basis`` hint of the
-next solve of a nearby LP, it starts the rounds directly: a hint that is
-still optimal is the answer after zero pivots.  A hint of the wrong length,
-holding an artificial column, singular, or whose rounds end without a
-feasible basis is dropped for a cold two-phase solve.
+Every solve starts from the slack and artificial columns and returns its
+final basis, from which a caller can read the LP's duals (the fac oracle's
+bound does).
 """
 
 from __future__ import annotations
@@ -50,14 +48,13 @@ class LPResult:
     ``basis`` lists the basic column of each constraint row, numbering the
     caller's variables first, then one slack per ``A_ub`` row; an entry past
     those is an artificial column left on a redundant row.  ``pivots`` counts
-    the simplex pivots made and ``warm`` tells whether the hint was used.
+    the simplex pivots made.
     """
 
     x: np.ndarray
     fun: float
     basis: np.ndarray
     pivots: int = 0
-    warm: bool = False
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -175,7 +172,6 @@ def solve_lp(
     A_eq: np.ndarray | None = None,
     b_eq: np.ndarray | None = None,
     maximize: bool = False,
-    basis: np.ndarray | None = None,
 ) -> LPResult:
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -184,92 +180,65 @@ def solve_lp(
     n_slack = A_ub.shape[0]
     m = n_slack + A_eq.shape[0]
     total = n + n_slack
-    A = np.zeros((m, total))
-    A[:n_slack, :n] = A_ub
-    A[np.arange(n_slack), n + np.arange(n_slack)] = 1.0
-    A[n_slack:, :n] = A_eq
     b = np.concatenate([
         np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel(),
         np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel(),
     ])
-
     # Normalize to b >= 0 (flips slack signs where needed).
     neg = b < 0
-    A[neg] *= -1.0
     b[neg] *= -1.0
-
-    obj = np.concatenate([-c if maximize else c, np.zeros(n_slack)])
-
-    if basis is not None:
-        hint = np.asarray(basis)
-        if (
-            hint.shape == (m,) and hint.dtype.kind in "iu"
-            and 0 <= hint.min(initial=0) and hint.max(initial=0) < total
-            and len(set(hint.tolist())) == m
-        ):
-            hint = hint.astype(int)
-            try:
-                found = _optimize(A, b, obj, hint, total)
-            except UnboundedError:
-                found = None  # let the cold solve tell unbounded from infeasible
-            if found is not None:
-                return _result(found[0], hint, obj, n, total, maximize, found[1], True)
 
     # Initial basis: slack columns where usable, artificials elsewhere.
     slack_rows = (np.arange(m) < n_slack) & ~neg
     art_rows = np.flatnonzero(~slack_rows)
     n_art = art_rows.size
-    A_art = np.zeros((m, total + n_art))
-    A_art[:, :total] = A
-    A_art[art_rows, total + np.arange(n_art)] = 1.0
-    cold = np.where(slack_rows, n + np.arange(m), 0)
-    cold[art_rows] = total + np.arange(n_art)
+    A = np.zeros((m, total + n_art))
+    A[:n_slack, :n] = A_ub
+    A[np.arange(n_slack), n + np.arange(n_slack)] = 1.0
+    A[n_slack:, :n] = A_eq
+    A[neg, :total] *= -1.0
+    A[art_rows, total + np.arange(n_art)] = 1.0
+    obj = np.concatenate([-c if maximize else c, np.zeros(n_slack + n_art)])
+    basis = np.where(slack_rows, n + np.arange(m), 0)
+    basis[art_rows] = total + np.arange(n_art)
     pivots = 0
 
     T = np.zeros((m + 1, total + n_art + 1))
-    T[:m, :-1] = A_art
+    T[:m, :-1] = A
     T[:m, -1] = b
     if n_art:
         # Phase 1: minimize the artificial total.
         T[-1, total:-1] = 1.0
         T[-1] -= T[art_rows].sum(axis=0)
-        pivots += _simplex_phase(T, cold, total + n_art)
+        pivots += _simplex_phase(T, basis, total + n_art)
         if T[-1, -1] < -1e-7:
             raise InfeasibleError(f"phase-1 residual {-T[-1, -1]:.3g}")
         # Drive any lingering artificials out of the basis.
-        for i in np.flatnonzero(cold >= total):
+        for i in np.flatnonzero(basis >= total):
             j = np.argmax(np.abs(T[i, :total]))
             if abs(T[i, j]) > _PIVOT_TOL:
-                _pivot(T, cold, i, j)
+                _pivot(T, basis, i, j)
                 pivots += 1
 
     # Phase 2 on the same tableau.  Its vertex is kept when it is clean
     # (x_B >= -_CLEAN_TOL) and passes the feasibility check against the
     # original rows; otherwise rounds of fresh solves repair what the
     # tableau's rounding errors left.
-    obj_art = np.concatenate([obj, np.zeros(n_art)])
-    T[-1, :-1] = obj_art
+    T[-1, :-1] = obj
     T[-1, -1] = 0.0
-    T[-1] -= obj_art[cold] @ T[:m]
-    pivots += _simplex_phase(T, cold, total)
+    T[-1] -= obj[basis] @ T[:m]
+    pivots += _simplex_phase(T, basis, total)
     x_B = T[:m, -1]
     if x_B.min(initial=0.0) >= -_CLEAN_TOL:
-        x_B = _feasible(A_art[:, cold], b, x_B)
+        x_B = _feasible(A[:, basis], b, x_B)
     else:
         x_B = None
-    found = (x_B, 0) if x_B is not None else _optimize(A_art, b, obj_art, cold, total)
+    found = (x_B, 0) if x_B is not None else _optimize(A, b, obj, basis, total)
     if found is None:
         raise InfeasibleError("no basis passes the feasibility check")
-    return _result(found[0], cold, obj_art, n, total, maximize, pivots + found[1], False)
-
-
-def _result(
-    x_B: np.ndarray, basis: np.ndarray, obj: np.ndarray, n: int, total: int,
-    maximize: bool, pivots: int, warm: bool,
-) -> LPResult:
     real = basis < total
     x = np.zeros(total)
-    x[basis[real]] = x_B[real]
+    x[basis[real]] = found[0][real]
     fun = float(obj[:total] @ x)
-    return LPResult(x=x[:n], fun=-fun if maximize else fun, basis=basis.copy(),
-                    pivots=pivots, warm=warm)
+    return LPResult(x=x[:n], fun=-fun if maximize else fun, basis=basis,
+                    pivots=pivots + found[1])

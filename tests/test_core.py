@@ -282,3 +282,110 @@ class TestSinglePassValidation:
             assert not report.valid and report.failures
             assert math.isnan(report.S) and math.isnan(report.G) and math.isnan(report.P)
             assert report.factorizable is False
+
+
+class TestOwnedCopies:
+    """A box and a settings distribution keep private read-only copies of
+    their tables, so a caller's later writes neither change them nor fail."""
+
+    def test_settings_distribution_ignores_later_writes(self):
+        a = np.full((2, 2), 0.25)
+        s = SettingsDistribution(a)
+        a[0, 0] = 0.9
+        assert s.q[0, 0] == 0.25
+        assert not s.q.flags.writeable
+        assert not s.check()
+
+    def test_box_leaves_the_callers_table_writable(self):
+        p = np.full((2, 2, 2, 2), 0.25)
+        box = Box(p)
+        p[0, 0, 0, 0] = 0.9  # raised at the time Box froze the caller's array
+        assert box.p[0, 0, 0, 0] == 0.25
+        assert not box.p.flags.writeable
+        assert not box.check()
+
+
+def _scratch_check(p, tol):
+    """Box.check's tests and messages, computed afresh from the table."""
+    failures = []
+    lo = p.min()
+    if not lo >= -tol:
+        failures.append(f"box has negative or NaN entry {lo:.3g}")
+    if not np.abs(p.sum(axis=(0, 1)) - 1.0).max() <= tol:
+        failures.append("box columns not normalized")
+    pa, pb = p.sum(axis=1), p.sum(axis=0)
+    if not np.abs(pa[:, :, 0] - pa[:, :, 1]).max() <= tol:
+        failures.append("box signals from Bob to Alice")
+    if not np.abs(pb[:, 0, :] - pb[:, 1, :]).max() <= tol:
+        failures.append("box signals from Alice to Bob")
+    return failures
+
+
+def _scratch_correlators(p):
+    return np.einsum("ab,abjk->jk", np.array([[1.0, -1.0], [-1.0, 1.0]]), p)
+
+
+def _scratch_guess(p):
+    return float(max(p.sum(axis=1).mean(axis=2).max(), p.sum(axis=0).mean(axis=1).max()))
+
+
+def _record_boxes():
+    rng = np.random.default_rng(909)
+    tables = [_random_ns_box(rng).p for _ in range(200)]
+    for p in tables[:40]:
+        for scale in (1e-12, 1e-6, 1e-3):  # valid at one tol, invalid at the other
+            tables.append(p + rng.normal(0.0, scale, p.shape))
+    # Products of marginals that signal one way only: Alice's depends on
+    # Bob's setting, Bob's on his own setting alone (and the mirror image).
+    for scale in (1e-6, 1e-2):
+        for _ in range(10):
+            m = rng.uniform(0.2, 0.8, (2, 1)) + scale * np.array([[0.0, 1.0], [0.0, -1.0]])
+            n = rng.uniform(0.2, 0.8, 2)
+            ma, nb = np.stack([m, 1 - m]), np.stack([n, 1 - n])  # [a, j, k], [b, k]
+            p = ma[:, None, :, :] * nb[None, :, None, :]
+            tables += [p, p.transpose(1, 0, 3, 2)]
+    for bad in (-0.05, np.nan, np.inf, -np.inf):
+        for p in tables[:10]:
+            q = p.copy()
+            q[tuple(rng.integers(0, 2, 4))] = bad
+            tables.append(q)
+    return tables
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the checks
+class TestBoxRecord:
+    """Each box computes its invariants once; check, correlators and
+    guessing_value read them and give what a fresh computation gives."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4])
+    def test_matches_a_fresh_computation(self, tol):
+        outcomes = set()
+        for p in _record_boxes():
+            box = Box(p)
+            for t in (tol, 1e-9):  # the second read comes from the record
+                assert box.check(t) == _scratch_check(p, t)
+            np.testing.assert_array_equal(box.correlators(), _scratch_correlators(p))
+            assert not box.correlators().flags.writeable
+            guess = box.guessing_value()
+            assert guess == _scratch_guess(p) or (math.isnan(guess)
+                                                 and math.isnan(_scratch_guess(p)))
+            outcomes.add(tuple(box.check(tol)))
+        assert {(), ("box signals from Bob to Alice",),
+                ("box signals from Alice to Bob",)} < outcomes
+
+    def test_record_is_computed_once(self, monkeypatch):
+        computed = []
+        record = core._box_record
+
+        def counting(p):
+            computed.append(p)
+            return record(p)
+
+        monkeypatch.setattr(core, "_box_record", counting)
+        box = pr_box()
+        for _ in range(3):
+            box.check()
+            box.correlators()
+            box.guessing_value()
+            core.validate(HiddenVariableModel(((1.0, uniform_settings(), box),)))
+        assert len(computed) == 1 and computed[0] is box.p

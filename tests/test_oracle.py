@@ -209,6 +209,28 @@ def test_witness_reports_equal_the_public_functions(validations):
         assert report.P == core.free_will_parameter(model)
 
 
+def test_each_vertex_box_computes_its_record_once(monkeypatch):
+    # Every witness component of the campaign grid is one of the 24 cached
+    # vertex boxes, so repeated calls validate them from their records.
+    computed = []
+    record = core._box_record
+
+    def counting(p):
+        computed.append(p)
+        return record(p)
+
+    monkeypatch.setattr(core, "_box_record", counting)
+    oracle._vertices.cache_clear()
+    boxes = oracle._vertices()[0]
+    for _ in range(3):
+        for P in np.linspace(0.25, 1.0 / 3.0, 5):
+            lp_deterministic_max_S(P)
+            for G in np.linspace(0.5, 1.0, 6):
+                maximize_S_ns(G, P)
+    assert len(computed) == len({id(p) for p in computed}) == 24
+    assert {id(p) for p in computed} == {id(b.p) for b in boxes}
+
+
 class TestVertexDecomposition:
     """The lemma behind the ns oracle's upper bound: every no-signalling box
     is a mixture of the 24 vertex boxes, and its guessing value is at most

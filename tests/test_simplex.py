@@ -121,7 +121,7 @@ def _ns_lp(rng, L=4):
 
 
 def _fac_lp(u, v, G, penalty=1000.0):
-    """The fac oracle's inner LP over (rho, t, slack+, slack-) for the
+    """An earlier fac oracle's inner LP over (rho, t, slack+, slack-) for the
     product settings q = (u v, u (1-v), (1-u) v, (1-u)(1-v))."""
     L = len(u)
     q = np.stack([u * v, u * (1 - v), (1 - u) * v, (1 - u) * (1 - v)], axis=1)
@@ -139,9 +139,9 @@ def _fac_lp(u, v, G, penalty=1000.0):
     }
 
 
-def _solve(lp, basis=None):
+def _solve(lp):
     return solve_lp(lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                    b_eq=lp["b_eq"], maximize=True, basis=basis)
+                    b_eq=lp["b_eq"], maximize=True)
 
 
 def _violation(lp, x):
@@ -199,71 +199,3 @@ def test_fac_shaped_lps_carry_an_optimality_certificate():
         res = _solve(lp)
         assert _violation(lp, res.x) <= 1e-9
         _assert_certified(lp, res)
-
-
-def test_warm_start_matches_cold_along_a_random_walk():
-    # Steps like a coordinate search's: one setting probability at a time.
-    rng = np.random.default_rng(3)
-    zero_pivot = solves = 0
-    for _ in range(20):
-        uv = rng.uniform(0.0, 1.0, 8)
-        G = rng.uniform(0.5, 1.0)
-        basis = None
-        for _ in range(40):
-            k = rng.integers(8)
-            uv[k] = np.clip(uv[k] + rng.normal(0.0, 0.05), 0.0, 1.0)
-            lp = _fac_lp(uv[:4], uv[4:], G)
-            cold = _solve(lp)
-            warm = _solve(lp, basis)
-            assert warm.fun == pytest.approx(cold.fun, abs=1e-9)
-            assert _violation(lp, warm.x) <= 1e-9
-            _assert_certified(lp, warm)
-            solves += basis is not None
-            zero_pivot += warm.warm and warm.pivots == 0
-            basis = warm.basis
-    assert zero_pivot >= 0.5 * solves
-
-
-def test_optimal_hint_needs_no_pivot():
-    lp = _fac_lp(np.array([0.6, 0.3, 0.5, 0.9]), np.array([0.4, 0.7, 0.5, 0.2]), 0.8)
-    cold = _solve(lp)
-    assert not cold.warm and cold.pivots > 0
-    warm = _solve(lp, cold.basis)
-    assert warm.warm and warm.pivots == 0
-    assert warm.fun == pytest.approx(cold.fun, abs=1e-12)
-    np.testing.assert_array_equal(warm.basis, cold.basis)
-
-
-def test_bad_hints_give_the_cold_answer():
-    lp = _fac_lp(np.array([0.6, 0.3, 0.5, 0.9]), np.array([0.4, 0.7, 0.5, 0.2]), 0.8)
-    cold = _solve(lp)
-    L, total = 4, lp["c"].size + lp["b_ub"].size
-    rejected = [
-        cold.basis[:-1],                       # wrong length
-        cold.basis.astype(float),              # not column indices
-        np.r_[cold.basis[:-1], total],         # an artificial column
-        np.r_[cold.basis[:-1], -1],            # out of range
-        np.r_[cold.basis[:-1], cold.basis[0]],  # a repeated column
-        # slack+ and slack- of one uniformity row are opposite columns
-        np.r_[2 * L, 2 * L + 4, cold.basis[2:]],
-    ]
-    for hint in rejected:
-        res = _solve(lp, hint)
-        assert not res.warm
-        assert res.fun == cold.fun
-        np.testing.assert_array_equal(res.x, cold.x)
-    # A hint that is a basis but not a feasible one is repaired by pivoting,
-    # or dropped; either way the answer is the optimum.
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        hint = rng.choice(total, size=cold.basis.size, replace=False)
-        res = _solve(lp, hint)
-        assert res.fun == pytest.approx(cold.fun, abs=1e-9)
-        _assert_certified(lp, res)
-
-
-def test_hint_on_infeasible_lp_still_raises():
-    A_eq = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(InfeasibleError):
-        solve_lp(np.array([1.0, 1.0]), A_eq=A_eq, b_eq=np.array([1.0, 2.0]),
-                 basis=np.array([0, 1]))
