@@ -1,10 +1,12 @@
 """Monte Carlo execution of repeated CHSH trials under a hidden-variable model.
 
-Trials are sampled with a counter-based Philox generator (numpy's
-``np.random.Philox``) keyed by the caller's seed, so identical
-(model, n, seed) inputs reproduce identical counts bit for bit on any
-platform.  Sampling is inverse-CDF over the discrete distributions; the whole
-trial batch is vectorized.
+The counts of an n-trial experiment over the cells (hidden variable lambda,
+outcomes a, b, settings j, k) are Multinomial(n, rho_lambda q_lambda(j,k)
+p_lambda(a,b|j,k)), so one multinomial draw stands for the whole experiment:
+its cost does not grow with n.  The trial counts are its sum over lambda, and
+the adversary's hits are a fixed subset of its cells.  The draw comes from a
+counter-based Philox generator (numpy's ``np.random.Philox``) keyed by the
+caller's seed, so identical (model, n, seed) inputs reproduce identical counts.
 """
 
 from __future__ import annotations
@@ -73,46 +75,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _sample_trials(
-    model: HiddenVariableModel, n: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample (component index, flat setting index, flat outcome index) for n
-    trials.  Flat indices follow order (j,k) resp. (a,b) = 00, 01, 10, 11."""
+def _draw(model: HiddenVariableModel, n: int, seed: int) -> np.ndarray:
+    """Counts of an n-trial experiment over the cells (lambda, a, b, j, k):
+    one Multinomial(n, rho_lambda q_lambda(j,k) p_lambda(a,b|j,k)) draw,
+    shape (L, 2, 2, 2, 2)."""
     model.validate()
-    if n < 1:
-        raise DomainError(f"number of trials must be >= 1, got {n}")
-    rng = _rng(seed)
-    weights = model.weights
-    L = len(weights)
-    settings_cdf = np.cumsum(
-        np.stack([s.q.ravel() for _, s, _ in model.components]), axis=1
-    )
-    # Outcome tables per (component, setting): shape (L, 4, 4) over (a,b).
-    outcome_cdf = np.cumsum(
-        np.stack([
-            b.p.reshape(4, 2, 2).transpose(1, 2, 0).reshape(4, 4)
-            for _, _, b in model.components
-        ]),
-        axis=2,
-    )
-    lam = np.searchsorted(np.cumsum(weights), rng.random(n), side="right")
-    lam = np.minimum(lam, L - 1)
-    u = rng.random(n)
-    setting = (u[:, None] >= settings_cdf[lam]).sum(axis=1)
-    setting = np.minimum(setting, 3)
-    u = rng.random(n)
-    outcome = (u[:, None] >= outcome_cdf[lam, setting]).sum(axis=1)
-    outcome = np.minimum(outcome, 3)
-    return lam, setting, outcome
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"number of trials must be an integer >= 1, got {n!r}")
+    cells = np.stack([w * s.q * b.p for w, s, b in model.components])
+    # Validation admits entries down to -tol; multinomial admits none.
+    cells = np.clip(cells, 0.0, None)
+    pvals = (cells / cells.sum()).ravel()
+    return _rng(seed).multinomial(n, pvals).reshape(cells.shape)
 
 
 def run_trials(model: HiddenVariableModel, n: int, seed: int) -> TrialCounts:
-    """Run n independent trials: sample the hidden variable, then the setting
-    pair, then the outcome pair; accumulate counts."""
-    _, setting, outcome = _sample_trials(model, n, seed)
-    flat = np.bincount(outcome * 4 + setting, minlength=16)
-    counts = flat.reshape(2, 2, 2, 2)  # [a, b, j, k]
-    return TrialCounts(n=n, counts=counts)
+    """Counts N(a, b, j, k) of n independent trials."""
+    return TrialCounts(n=n, counts=_draw(model, n, seed).sum(axis=0))
 
 
 def estimate_S(counts: TrialCounts) -> tuple[float, float]:
@@ -124,11 +103,27 @@ def estimate_S(counts: TrialCounts) -> tuple[float, float]:
     totals = counts.setting_totals()
     if totals.min() == 0:
         raise DomainError("every setting pair must be observed at least once")
-    sign_ab = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    corr = np.einsum("ab,abjk->jk", sign_ab, counts.counts.astype(float)) / totals
+    corr = np.einsum("ab,abjk->jk", core._OUTCOME_SIGN, counts.counts) / totals
     s_hat = abs((core.SETTING_SIGN * corr).sum())
     var = ((1.0 - corr**2) / totals).sum()
     return float(s_hat), float(math.sqrt(var))
+
+
+def _hit_cells(model: HiddenVariableModel, target: str) -> np.ndarray:
+    """Boolean mask over the cells (lambda, a, b, j, k) in which the adversary
+    guesses the target party's outcome correctly; see eve_guess_accuracy."""
+    if target not in ("auto", "alice", "bob"):
+        raise DomainError(f"unknown guessing target {target!r}")
+    masks = []
+    for _, _, box in model.components:
+        m = box.alice_marginals()  # [a, j]
+        nb = box.bob_marginals()   # [b, k]
+        alice = target == "alice" or (target == "auto" and m.max() >= nb.max())
+        table = m if alice else nb
+        right = np.arange(2)[:, None] == table.argmax(axis=0)  # [outcome, setting]
+        right = right[:, None, :, None] if alice else right[None, :, None, :]
+        masks.append(np.broadcast_to(right, (2, 2, 2, 2)))
+    return np.stack(masks)
 
 
 def eve_guess_accuracy(
@@ -139,37 +134,12 @@ def eve_guess_accuracy(
 
     ``target`` selects the guessed party: "alice", "bob", or "auto" (per
     component, the party whose marginal attains that component's guessing
-    value).  The guess is the likelier outcome of the target party's marginal
-    at the realized setting, so the long-run accuracy never exceeds the
-    model's guessing probability.
+    value, Alice on a tie).  The guess is the likelier outcome of the target
+    party's marginal at the realized setting (outcome 0 on a tie), so the
+    long-run accuracy never exceeds the model's guessing probability.
     """
-    if target not in ("auto", "alice", "bob"):
-        raise DomainError(f"unknown guessing target {target!r}")
-    lam, setting, outcome = _sample_trials(model, n, seed)
-    L = len(model.components)
-    # Per component: target party (0 = Alice, 1 = Bob) and the guess for each
-    # of that party's two settings.
-    party = np.zeros(L, dtype=np.int64)
-    guess = np.zeros((L, 2), dtype=np.int64)
-    for i, (_, _, box) in enumerate(model.components):
-        m = box.alice_marginals()  # [a, j]
-        nb = box.bob_marginals()   # [b, k]
-        if target == "alice":
-            party[i] = 0
-        elif target == "bob":
-            party[i] = 1
-        else:
-            party[i] = 0 if m.max() >= nb.max() else 1
-        table = m if party[i] == 0 else nb
-        guess[i] = table.argmax(axis=0)
-    j = setting // 2
-    k = setting % 2
-    a = outcome // 2
-    b = outcome % 2
-    own_setting = np.where(party[lam] == 0, j, k)
-    own_outcome = np.where(party[lam] == 0, a, b)
-    hits = own_outcome == guess[lam, own_setting]
-    return float(hits.mean())
+    hits = _hit_cells(model, target)
+    return float(_draw(model, n, seed)[hits].sum() / n)
 
 
 def certify(counts: TrialCounts, P_assumed: float, mode: str) -> float:
@@ -205,9 +175,12 @@ def certify(counts: TrialCounts, P_assumed: float, mode: str) -> float:
 def simulation_report(
     model: HiddenVariableModel, n: int, seed: int, P_assumed: float, mode: str
 ) -> SimulationReport:
-    counts = run_trials(model, n, seed)
+    """Estimate S, the input frequencies and the adversary's accuracy from one
+    n-trial draw, and certify the draw's counts."""
+    draw = _draw(model, n, seed)
+    counts = TrialCounts(n=n, counts=draw.sum(axis=0))
     s_hat, stderr = estimate_S(counts)
-    accuracy = eve_guess_accuracy(model, n, seed + 1, target="auto")
+    accuracy = float(draw[_hit_cells(model, "auto")].sum() / n)
     bits = certify(counts, P_assumed, mode)
     freqs = counts.input_frequencies().ravel()
     return SimulationReport(

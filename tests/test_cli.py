@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from chshcert import bounds, cli, oracle
+from chshcert import bounds, cli, core, oracle, simulate
 
 
 def _run(args):
@@ -96,8 +96,31 @@ class TestSimulateCommand:
             "--out", str(report_path),
         ]) == 0
         doc = json.loads(report_path.read_text())
-        assert doc["certified_bits"] > 0.0
+        # S = 2 is the deterministic bound at P = 1/4, so whether a seed
+        # certifies anything depends on which side of 2 its S_hat falls.
+        counts = simulate.run_trials(
+            core.model_from_json(model_path.read_text()), 50_000, seed=3
+        )
+        assert doc["S_hat"] == simulate.estimate_S(counts)[0]
+        assert doc["certified_bits"] == simulate.certify(counts, 0.25, "ns")
+        assert doc["certified_bits"] >= 0.0
         assert abs(doc["S_hat"] - 2.0) <= 5.0 * max(doc["S_stderr"], 1e-9)
+
+    def test_violating_model_certifies_bits(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        report_path = tmp_path / "report.json"
+        assert _run([
+            "model", "--kind", "general", "--g", "0.8", "--p", "0.25",
+            "--out", str(model_path),
+        ]) == 0
+        assert _run([
+            "simulate", "--model", str(model_path), "--trials", "50000",
+            "--seed", "3", "--p-assumed", "0.25", "--mode", "ns",
+            "--out", str(report_path),
+        ]) == 0
+        doc = json.loads(report_path.read_text())
+        assert abs(doc["S_hat"] - 2.8) <= 5.0 * doc["S_stderr"]
+        assert doc["certified_bits"] > 0.0
 
     def test_missing_model_file(self, tmp_path, capsys):
         assert _run([

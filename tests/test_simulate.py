@@ -8,7 +8,13 @@ import pytest
 
 from chshcert import core, simulate
 from chshcert.bounds import DomainError
-from chshcert.core import HiddenVariableModel, pr_box, uniform_settings
+from chshcert.core import (
+    Box,
+    HiddenVariableModel,
+    deterministic_box,
+    pr_box,
+    uniform_settings,
+)
 from chshcert.optimal_models import build_fac_model_low_P, build_general_model
 from chshcert.simulate import (
     TrialCounts,
@@ -80,6 +86,35 @@ class TestReproducibility:
     def test_counts_total(self):
         counts = run_trials(_pr_model(), 12_345, seed=0)
         assert counts.counts.sum() == 12_345
+
+    def test_trial_count_beyond_memory(self):
+        counts = run_trials(build_general_model(0.8, 0.3), 10**12, seed=0)
+        assert counts.n == 10**12
+        assert counts.counts.sum() == 10**12
+
+    def test_numpy_integer_trial_count(self):
+        counts = run_trials(_pr_model(), np.int64(1_000), seed=0)
+        np.testing.assert_array_equal(
+            counts.counts, run_trials(_pr_model(), 1_000, seed=0).counts
+        )
+
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "5", 0, -3])
+    def test_rejects_trial_count_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match="number of trials"):
+            run_trials(_pr_model(), n, seed=0)
+        with pytest.raises(DomainError, match="number of trials"):
+            eve_guess_accuracy(_pr_model(), n, seed=0)
+
+    def test_slightly_negative_entry_gets_no_counts(self):
+        # Validation admits entries down to -tol; the draw clips them to 0.
+        p = np.array(deterministic_box(0, 0, 0, 0).p)
+        p[1, 1, 0, 0] = -1e-12
+        p[0, 0, 0, 0] = 1.0 + 1e-12
+        model = HiddenVariableModel(((1.0, uniform_settings(), Box(p)),))
+        assert core.validate(model).valid
+        counts = run_trials(model, 100_000, seed=0)
+        assert counts.counts[1, 1, 0, 0] == 0
+        assert counts.counts[0, 0].sum() == 100_000
 
 
 class TestEstimation:
