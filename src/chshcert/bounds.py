@@ -1,17 +1,17 @@
 """Closed-form trade-off bounds between CHSH violation, guessing probability
 and measurement-dependence, plus min-entropy accounting.
 
-All functions are pure arithmetic on scalars; branch tags report which case of
-a piecewise formula applied.  Domain violations raise :class:`DomainError`.
+All functions are pure arithmetic on scalars or on one settings distribution;
+branch tags report which case of a piecewise formula applied.  Domain
+violations raise :class:`DomainError`, invalid distributions ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
+
+from .core import SettingsDistribution
 
 # Branch tags for piecewise bounds.
 BRANCH_CLOSED_FORM = "closed-form"
@@ -102,50 +102,23 @@ def s_max_quantum(P: float) -> tuple[float, str]:
     return 4.0, BRANCH_SATURATED
 
 
-@dataclass(frozen=True)
-class BiasedDistribution:
-    """Probabilities (p00, p01, p10, p11) over the four setting pairs."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float).reshape(4)
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    def validate(self, tol: float = 1e-9) -> None:
-        # `not (x >= bound)` rather than `x < bound`: NaN must fail the test.
-        if not self.probs.min() >= -tol:
-            raise DomainError("setting-pair probabilities must be nonnegative numbers")
-        if not abs(self.probs.sum() - 1.0) <= tol:
-            raise DomainError("setting-pair probabilities must sum to 1")
-
-    @property
-    def p_min(self) -> float:
-        return float(self.probs.min())
-
-    @property
-    def p_max(self) -> float:
-        return float(self.probs.max())
+# Another name for the settings type, which callers of the biased-CHSH bounds use.
+BiasedDistribution = SettingsDistribution
 
 
-def uniform_biased() -> BiasedDistribution:
-    return BiasedDistribution(np.full(4, 0.25))
-
-
-def family_distribution(P: float) -> BiasedDistribution:
+def family_distribution(P: float) -> SettingsDistribution:
     """The extremal family (P, P, P, 1-3P) for 1/4 <= P <= 1/3."""
     if not 0.25 <= P <= 1.0 / 3.0:
         raise DomainError(f"family parameter must lie in [1/4, 1/3], got {P}")
-    return BiasedDistribution(np.array([P, P, P, 1.0 - 3.0 * P]))
+    return SettingsDistribution([P, P, P, 1.0 - 3.0 * P])
 
 
-def alpha_opt(dist: BiasedDistribution) -> float:
+def alpha_opt(dist: SettingsDistribution) -> float:
     """Optimal anticommutator expectation of Bob's observables for a biased
     CHSH game; singular when any setting-pair probability vanishes."""
     dist.validate()
     p00, p01, p10, p11 = dist.probs
-    if dist.p_min <= 0.0:
+    if dist.q.min() <= 0.0:
         raise DomainError(
             "optimal anticommutator is undefined for degenerate distributions; "
             "use the deterministic bound 4 - 8*p_min instead"
@@ -155,7 +128,7 @@ def alpha_opt(dist: BiasedDistribution) -> float:
     return num / den
 
 
-def s_q_max_dist(dist: BiasedDistribution) -> tuple[float, str]:
+def s_q_max_dist(dist: SettingsDistribution) -> tuple[float, str]:
     """Maximal two-qubit CHSH value for a fixed settings distribution.
 
     When the distribution is degenerate or the optimal anticommutator would
@@ -164,8 +137,9 @@ def s_q_max_dist(dist: BiasedDistribution) -> tuple[float, str]:
     """
     dist.validate()
     p00, p01, p10, p11 = dist.probs
-    if dist.p_min <= 0.0 or abs(alpha_opt(dist)) >= 2.0:
-        return 4.0 - 8.0 * max(dist.p_min, 0.0), BRANCH_DETERMINISTIC
+    p_min = float(dist.q.min())
+    if p_min <= 0.0 or abs(alpha_opt(dist)) >= 2.0:
+        return 4.0 - 8.0 * max(p_min, 0.0), BRANCH_DETERMINISTIC
     val = 4.0 * math.sqrt(p00 * p01 + p10 * p11) * math.sqrt(
         (p00**2 + p01**2) / (p00 * p01) + (p10**2 + p11**2) / (p10 * p11)
     )

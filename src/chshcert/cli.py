@@ -39,6 +39,14 @@ def _dump_json(doc: dict, out: str | None) -> None:
     _write_output(json.dumps(doc, indent=2) + "\n", out)
 
 
+def _check_counts(args, *names: str) -> None:
+    """Reject a count option below 1, naming its flag."""
+    for name in names:
+        if (val := getattr(args, name)) < 1:
+            flag = "--" + name.replace("_", "-")
+            raise bounds.DomainError(f"{flag} must be at least 1, got {val}")
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -61,6 +69,7 @@ def _curve_point(curve: str, P: float, args) -> tuple[float, str]:
 
 
 def cmd_bounds(args) -> int:
+    _check_counts(args, "steps")
     ps = np.linspace(args.p_min, args.p_max, args.steps)
     header = "P,G,branch" if args.curve == "g-of-p" else "P,value,branch"
     rows = [header]
@@ -121,6 +130,7 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_verify(args) -> int:
+    _check_counts(args, "g_steps", "p_steps", "samples", "restarts")
     if args.target == "lp":
         def work(P):
             closed, _ = bounds.s_max_ns(1.0, P)
@@ -145,7 +155,7 @@ def cmd_verify(args) -> int:
         ]
     elif args.target == "quantum":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-        dists = [bounds.BiasedDistribution(rng.dirichlet(np.ones(4)))
+        dists = [core.SettingsDistribution(rng.dirichlet(np.ones(4)))
                  for _ in range(args.samples)]
 
         def work(dist):
@@ -153,7 +163,7 @@ def cmd_verify(args) -> int:
             val, _strategy = quantum.optimize_strategy_numeric(
                 dist, restarts=args.restarts, seed=args.seed
             )
-            return {"p_bar": [float(x) for x in dist.probs],
+            return {"p_bar": dist.probs.tolist(),
                     "bound_closed_form": closed, "bound_oracle": val,
                     "gap": val - closed}
         tasks = dists
@@ -242,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200,
                    help="number of random settings distributions (quantum target)")
     p.add_argument("--restarts", type=int, default=100,
-                   help="restarts of the quantum search; the exact lp, ns "
-                        "and fac oracles check it (at least 1) and ignore it")
+                   help="restarts of the quantum search (at least 1); the "
+                        "exact lp, ns and fac oracles ignore it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, choices=[1], default=1,
                    help="campaign points run one after another on one thread; "
@@ -258,10 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (bounds.DomainError, core.ValidationError, oracle.OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    # DomainError, ValidationError and JSONDecodeError are all ValueErrors.
+    except (OSError, ValueError, oracle.OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

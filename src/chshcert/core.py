@@ -193,22 +193,23 @@ def deterministic_box(a0: int, a1: int, b0: int, b1: int) -> Box:
 
 @dataclass(frozen=True)
 class SettingsDistribution:
-    """Distribution p(A_j, B_k | lambda) over the four input pairs; shape (2, 2)."""
+    """Distribution p(A_j, B_k | lambda) over the four input pairs; shape (2, 2),
+    or its four entries in the order of ``probs``."""
 
     q: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.q, dtype=float).reshape(2, 2)  # a private copy
+        arr = np.array(self.q, dtype=float)  # a private copy
+        if arr.shape not in ((2, 2), (4,)):
+            raise ValidationError(f"settings shape must be (2,2) or (4,), got {arr.shape}")
+        arr = arr.reshape(2, 2)
         arr.flags.writeable = False
         object.__setattr__(self, "q", arr)
 
-    @classmethod
-    def from_flat(cls, vals: Sequence[float]) -> "SettingsDistribution":
-        """Entry order (j,k) = 00, 01, 10, 11."""
-        return cls(np.asarray(vals, dtype=float).reshape(2, 2))
-
-    def to_flat(self) -> list[float]:
-        return [float(x) for x in self.q.ravel()]
+    @property
+    def probs(self) -> np.ndarray:
+        """Read-only flat view of ``q``, entry order (j,k) = 00, 01, 10, 11."""
+        return self.q.reshape(4)
 
     def check(self, tol: float = DEFAULT_TOL) -> list[str]:
         failures = []  # NaN-safe comparisons, as in Box.check
@@ -385,7 +386,7 @@ def validate(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> ModelRepor
 def model_to_dict(model: HiddenVariableModel) -> dict:
     return {
         "components": [
-            {"weight": float(w), "settings": s.to_flat(), "box": b.to_rows()}
+            {"weight": float(w), "settings": s.probs.tolist(), "box": b.to_rows()}
             for w, s, b in model.components
         ]
     }
@@ -396,7 +397,7 @@ def model_from_dict(doc: dict) -> HiddenVariableModel:
         comps = tuple(
             (
                 float(c["weight"]),
-                SettingsDistribution.from_flat(c["settings"]),
+                SettingsDistribution(c["settings"]),
                 Box.from_rows(c["box"]),
             )
             for c in doc["components"]

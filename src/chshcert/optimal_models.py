@@ -9,8 +9,6 @@ the settings columns used here).  Out-of-range parameters raise
 
 from __future__ import annotations
 
-import numpy as np
-
 from .bounds import DomainError, check_G
 from .core import Box, HiddenVariableModel, SettingsDistribution
 
@@ -52,7 +50,7 @@ def _outcome_boxes(G: float) -> list[Box]:
 def _assemble(G: float, settings_rows) -> HiddenVariableModel:
     boxes = _outcome_boxes(G)
     comps = tuple(
-        (0.25, SettingsDistribution.from_flat(row), box)
+        (0.25, SettingsDistribution(row), box)
         for row, box in zip(settings_rows, boxes)
     )
     return HiddenVariableModel(comps)
@@ -80,9 +78,10 @@ def build_high_P_model(G: float, P: float, Q: float, Qp: float) -> HiddenVariabl
     check_G(G)
     if not 1.0 / 3.0 <= P <= 1.0:
         raise DomainError(f"free-will parameter must lie in [1/3, 1], got {P}")
-    if Q < 0.0 or Qp < 0.0 or Q > P or Qp > P:
+    # `not (...)` so that a NaN fails the test instead of passing it.
+    if not (0.0 <= Q <= P and 0.0 <= Qp <= P):
         raise DomainError("secondary probabilities must satisfy 0 <= Q, Q' <= P")
-    if abs(P + Q + Qp - 1.0) > 1e-12:
+    if not abs(P + Q + Qp - 1.0) <= 1e-12:
         raise DomainError("probabilities must satisfy P + Q + Q' = 1")
     settings = [
         (P, Q, Qp, 0.0),

@@ -165,11 +165,9 @@ def lp_deterministic_max_S(P: float) -> float:
     return _validated_S(_vertex_model(P, None), 1.0, P, FEASIBILITY_TOL)
 
 
-def _check_oracle_args(G: float, P: float, components: int, restarts: int) -> None:
+def _check_oracle_args(G: float, P: float, restarts: int) -> None:
     check_G(G)
     check_P(P)
-    if components < 4:
-        raise DomainError("at least 4 components are required")
     if restarts < 1:
         raise DomainError("at least one restart is required")
 
@@ -177,7 +175,6 @@ def _check_oracle_args(G: float, P: float, components: int, restarts: int) -> No
 def maximize_S_ns(
     G: float,
     P: float,
-    components: int = 4,
     restarts: int = 100,
     seed: int = 0,
     tol: float = FEASIBILITY_TOL,
@@ -187,10 +184,10 @@ def maximize_S_ns(
     observed inputs: the validated S of the vertex LP's optimal model.
 
     The value is exact in both directions (see the module docstring), so
-    ``components``, ``restarts`` and ``seed`` do not change it.  They are
-    still checked (at least 4 components and 1 restart), as by
-    :func:`maximize_S_fac`, which takes the same arguments."""
-    _check_oracle_args(G, P, components, restarts)
+    ``restarts`` and ``seed`` do not change it.  ``restarts`` is still
+    checked (at least 1), as by :func:`maximize_S_fac`, which takes the same
+    arguments."""
+    _check_oracle_args(G, P, restarts)
     return _validated_S(_vertex_model(P, G), G, P, tol)
 
 
@@ -275,7 +272,6 @@ def _fac_model(G: float, P: float) -> tuple[HiddenVariableModel, float]:
 def maximize_S_fac(
     G: float,
     P: float,
-    components: int = 4,
     restarts: int = 100,
     seed: int = 0,
     tol: float = FEASIBILITY_TOL,
@@ -287,9 +283,9 @@ def maximize_S_fac(
     factorizable witness model, within 1e-9 of the LP's certified upper
     bound or OracleError.
 
-    ``components``, ``restarts`` and ``seed`` do not change the value; they
-    are checked as by :func:`maximize_S_ns`."""
-    _check_oracle_args(G, P, components, restarts)
+    ``restarts`` and ``seed`` do not change the value; ``restarts`` is
+    checked as by :func:`maximize_S_ns`."""
+    _check_oracle_args(G, P, restarts)
     model, upper = _fac_model(G, P)
     val = _validated_S(model, G, P, tol, factorizable=True)
     if upper - val > _GAP_TOL:

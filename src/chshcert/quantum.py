@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BiasedDistribution, DomainError, alpha_opt
-from .core import SETTING_SIGN
+from .bounds import DomainError, alpha_opt
+from .core import SETTING_SIGN, SettingsDistribution
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -99,13 +99,13 @@ def _expectation(psi_mat: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
     return float(val.real)
 
 
-def evaluate_strategy(strategy: QuantumStrategy, dist: BiasedDistribution) -> float:
+def evaluate_strategy(strategy: QuantumStrategy, dist: SettingsDistribution) -> float:
     """4 |sum_jk (-1)**jk p_jk <psi| A_j (x) B_k |psi>|."""
     dist.validate()
     psi = strategy.state.as_matrix()
     A = (strategy.a0.matrix(), strategy.a1.matrix())
     B = (strategy.b0.matrix(), strategy.b1.matrix())
-    p = dist.probs.reshape(2, 2)
+    p = dist.q
     total = sum(
         SETTING_SIGN[j, k] * p[j, k] * _expectation(psi, A[j], B[k])
         for j in (0, 1) for k in (0, 1)
@@ -128,12 +128,12 @@ def strategy_guessing_probability(strategy: QuantumStrategy) -> float:
     return float(best)
 
 
-def optimal_settings(dist: BiasedDistribution) -> QuantumStrategy:
+def optimal_settings(dist: SettingsDistribution) -> QuantumStrategy:
     """Explicit strategy saturating the biased Tsirelson bound for a settings
     distribution with all entries positive and optimal anticommutator below 2
     in magnitude."""
     dist.validate()
-    if dist.p_min <= 0.0:
+    if dist.q.min() <= 0.0:
         raise DomainError(
             "degenerate settings distribution: the optimum is deterministic, "
             "no entangled construction applies"
@@ -204,7 +204,7 @@ def _spectral_objective(x: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray
 
 
 def optimize_strategy_numeric(
-    dist: BiasedDistribution, restarts: int = 50, seed: int = 0
+    dist: SettingsDistribution, restarts: int = 50, seed: int = 0
 ) -> tuple[float, QuantumStrategy]:
     """Multi-start maximization of the biased CHSH value over all two-qubit
     strategies; deterministic given the seed.  Returns the best value found
@@ -214,7 +214,7 @@ def optimize_strategy_numeric(
     dist.validate()
     if restarts < 1:
         raise DomainError("at least one restart is required")
-    p = dist.probs.reshape(2, 2)
+    p = dist.q
 
     def fun(x):
         val, grad = _spectral_objective(x, p)

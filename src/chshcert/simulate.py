@@ -149,24 +149,11 @@ def certify(counts: TrialCounts, P_assumed: float, mode: str) -> float:
     ``mode`` selects the adversary class: "ns" (general no-signalling,
     requires P < 1/3) or "fac" (factorizable settings, requires P < 1/2).
     """
-    s_hat, _ = estimate_S(counts)
-    if mode == "ns":
-        if P_assumed >= 1.0 / 3.0:
-            raise DomainError(
-                "certification impossible for P >= 1/3 under the no-signalling "
-                "assumption: a deterministic model reaches S = 4, so no CHSH "
-                "value bounds the guessing probability below 1"
-            )
-        g = bounds.g_bound_ns(min(s_hat, 4.0), P_assumed)
-    elif mode == "fac":
-        if P_assumed >= 0.5:
-            raise DomainError(
-                "certification impossible for P >= 1/2 with factorizable "
-                "settings: a deterministic model reaches S = 4"
-            )
-        g = bounds.g_bound_fac(min(s_hat, 4.0), P_assumed)
-    else:
+    bound = {"ns": bounds.g_bound_ns, "fac": bounds.g_bound_fac}.get(mode)
+    if bound is None:
         raise DomainError(f"unknown certification mode {mode!r}")
+    s_hat, _ = estimate_S(counts)
+    g = bound(min(s_hat, 4.0), P_assumed)
     if g >= 1.0:
         return 0.0
     return bounds.min_entropy_bound(g, counts.n)

@@ -19,8 +19,8 @@ from chshcert.bounds import (
     s_max_quantum,
     s_max_quantum_fac,
     s_q_max_dist,
-    uniform_biased,
 )
+from chshcert.core import ValidationError, uniform_settings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -136,11 +136,11 @@ class TestQuantumBounds:
         rng = np.random.default_rng(99)
         for _ in range(10_000):
             dist = BiasedDistribution(rng.dirichlet(np.ones(4)))
-            assert s_q_max_dist(dist)[0] >= 4.0 - 8.0 * dist.p_min - 1e-12
+            assert s_q_max_dist(dist)[0] >= 4.0 - 8.0 * dist.q.min() - 1e-12
 
     def test_uniform_distribution_gives_tsirelson(self):
-        assert s_q_max_dist(uniform_biased())[0] == pytest.approx(2.0 * SQRT2, abs=1e-12)
-        assert alpha_opt(uniform_biased()) == pytest.approx(0.0, abs=1e-14)
+        assert s_q_max_dist(uniform_settings())[0] == pytest.approx(2.0 * SQRT2, abs=1e-12)
+        assert alpha_opt(uniform_settings()) == pytest.approx(0.0, abs=1e-14)
 
     def test_alpha_opt_rejects_degenerate(self):
         with pytest.raises(DomainError):
@@ -180,16 +180,16 @@ def test_family_distribution_domain():
 
 
 def test_biased_distribution_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         BiasedDistribution(np.array([0.5, 0.6, -0.05, -0.05])).validate()
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         BiasedDistribution(np.array([0.5, 0.4, 0.2, 0.2])).validate()
 
 
 def test_non_finite_distribution_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         BiasedDistribution(np.full(4, np.nan)).validate()
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         s_q_max_dist(BiasedDistribution([float("nan")] * 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         BiasedDistribution(np.array([np.inf, 0.25, 0.25, 0.25])).validate()

@@ -213,3 +213,18 @@ class TestVerifyCommand:
         ]) == 0
         doc = json.loads(out.read_text())
         assert doc["soundness_violation"] is False
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--curve", "ns", "--steps", "0"], "--steps"),
+    (["verify", "--target", "ns", "--g-steps", "0"], "--g-steps"),
+    (["verify", "--target", "lp", "--p-steps", "0"], "--p-steps"),
+    (["verify", "--target", "quantum", "--samples", "0"], "--samples"),
+    (["verify", "--target", "lp", "--restarts", "0"], "--restarts"),
+    (["verify", "--target", "fac", "--restarts", "-3"], "--restarts"),
+])
+def test_counts_below_one_are_rejected(argv, flag, capsys):
+    assert _run(argv) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""

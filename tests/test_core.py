@@ -134,6 +134,16 @@ class TestSettings:
         s = SettingsDistribution(np.full((2, 2), 0.3))
         assert s.check()
 
+    def test_flat_entries_fill_rows_in_jk_order(self):
+        s = SettingsDistribution([0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_array_equal(s.q, [[0.1, 0.2], [0.3, 0.4]])
+        np.testing.assert_array_equal(s.probs, [0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("table", [[0.5, 0.5, 0.0], [[0.25] * 4], np.full((2, 2, 1), 0.25)])
+    def test_rejects_bad_shape(self, table):
+        with pytest.raises(ValidationError):
+            SettingsDistribution(table)
+
 
 class TestModel:
     def test_weights_must_sum_to_one(self):
@@ -192,6 +202,10 @@ class TestSerialization:
     def test_malformed_document_raises(self):
         with pytest.raises(ValidationError):
             core.model_from_dict({"components": [{"weight": 1.0}]})
+        box = [[0.25] * 4] * 4
+        with pytest.raises(ValidationError):
+            core.model_from_dict({"components": [
+                {"weight": 1.0, "settings": [0.5, 0.5, 0.0], "box": box}]})
 
 
 def test_chsh_of_box_rejects_invalid_boxes():

@@ -1,5 +1,7 @@
 """Tests for the explicit bound-saturating model constructors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,11 @@ class TestHighPModel:
             build_high_P_model(0.9, 0.4, 0.3, 0.2)  # does not sum to 1
         with pytest.raises(DomainError):
             build_high_P_model(0.9, 0.3, 0.4, 0.3)  # P below 1/3
+
+    @pytest.mark.parametrize("Q, Qp", [(math.nan, 0.2), (0.3, math.nan), (math.nan, math.nan)])
+    def test_nan_secondary_probabilities_rejected(self, Q, Qp):
+        with pytest.raises(DomainError):
+            build_high_P_model(0.8, 0.5, Q, Qp)
 
 
 class TestFactorizableModels:

@@ -83,7 +83,7 @@ class TestNoSignallingOracle:
         # The value is exact: neither the seed nor the restarts move it.
         a = maximize_S_ns(0.8, 0.29, restarts=6, seed=5)
         assert maximize_S_ns(0.8, 0.29, restarts=6, seed=5) == a
-        assert maximize_S_ns(0.8, 0.29, components=9, restarts=1, seed=0) == a
+        assert maximize_S_ns(0.8, 0.29, restarts=1, seed=0) == a
 
     def test_value_is_the_validated_S_of_a_witness(self, validations):
         for G, P in _WITNESS_POINTS:
@@ -108,8 +108,6 @@ class TestNoSignallingOracle:
             maximize_S_ns(0.4, 0.3)
         with pytest.raises(DomainError):
             maximize_S_ns(0.8, 0.2)
-        with pytest.raises(DomainError):
-            maximize_S_ns(0.8, 0.3, components=3)
         with pytest.raises(DomainError):
             maximize_S_ns(0.8, 0.3, restarts=0)
 
@@ -284,7 +282,7 @@ class TestFactorizableOracle:
         # The value is exact: neither the seed nor the restarts move it.
         a = maximize_S_fac(0.8, 0.29, restarts=4, seed=5)
         assert maximize_S_fac(0.8, 0.29, restarts=4, seed=5) == a
-        assert maximize_S_fac(0.8, 0.29, components=9, restarts=1, seed=0) == a
+        assert maximize_S_fac(0.8, 0.29, restarts=1, seed=0) == a
 
     def test_value_is_the_validated_S_of_a_witness(self, validations):
         for G, P in _WITNESS_POINTS:
@@ -329,8 +327,6 @@ class TestFactorizableOracle:
             maximize_S_fac(0.3, 0.3)
         with pytest.raises(DomainError):
             maximize_S_fac(0.8, 0.2)
-        with pytest.raises(DomainError):
-            maximize_S_fac(0.8, 0.3, components=3)
         with pytest.raises(DomainError):
             maximize_S_fac(0.8, 0.3, restarts=0)
 

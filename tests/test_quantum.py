@@ -11,8 +11,8 @@ from chshcert.bounds import (
     alpha_opt,
     family_distribution,
     s_q_max_dist,
-    uniform_biased,
 )
+from chshcert.core import uniform_settings
 from chshcert.quantum import (
     Observable,
     QuantumStrategy,
@@ -73,7 +73,7 @@ def _classic_strategy() -> QuantumStrategy:
 
 class TestEvaluation:
     def test_classic_tsirelson_strategy(self):
-        val = evaluate_strategy(_classic_strategy(), uniform_biased())
+        val = evaluate_strategy(_classic_strategy(), uniform_settings())
         assert val == pytest.approx(2.0 * SQRT2, abs=1e-12)
 
     def test_maximally_entangled_state_is_unbiased(self):
@@ -86,7 +86,7 @@ class TestEvaluation:
         z = Observable(np.array([0.0, 0.0, 1.0]))
         strat = QuantumStrategy(state=state, a0=z, a1=z, b0=z, b1=z)
         assert strategy_guessing_probability(strat) == pytest.approx(1.0, abs=1e-12)
-        assert evaluate_strategy(strat, uniform_biased()) == pytest.approx(2.0, abs=1e-12)
+        assert evaluate_strategy(strat, uniform_settings()) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestOptimalSettings:
@@ -123,9 +123,9 @@ class TestOptimalSettings:
 
 class TestNumericOracle:
     def test_recovers_tsirelson(self):
-        val, strat = optimize_strategy_numeric(uniform_biased(), restarts=8, seed=0)
+        val, strat = optimize_strategy_numeric(uniform_settings(), restarts=8, seed=0)
         assert val == pytest.approx(2.0 * SQRT2, abs=1e-9)
-        assert evaluate_strategy(strat, uniform_biased()) == pytest.approx(val, abs=1e-9)
+        assert evaluate_strategy(strat, uniform_settings()) == pytest.approx(val, abs=1e-9)
 
     def test_sound_on_random_distributions(self):
         rng = np.random.default_rng(55)
